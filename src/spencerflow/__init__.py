@@ -2,3 +2,8 @@
 pseudo-spectral 2D Euler solver with conserved-invariant monitoring."""
 
 __version__ = "0.1.0"
+
+
+class CFLViolation(RuntimeError):
+    """Raised when a requested step size is at or above the stability bound
+    (cartan) or above the advective bound (euler2d)."""

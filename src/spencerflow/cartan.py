@@ -11,11 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import CFLViolation
 from .liealg import DualVector, LieVector
-
-
-class CFLViolation(RuntimeError):
-    """Raised when a requested step size is at or above the stability bound."""
 
 
 @dataclass(frozen=True)

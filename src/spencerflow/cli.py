@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import cartan, euler2d, invariants, liealg, spencer
+from . import CFLViolation, cartan, euler2d, invariants, liealg, spencer
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -30,20 +30,6 @@ REFERENCE_NOTE = (
 
 class ConfigError(ValueError):
     pass
-
-
-def thread_cap():
-    """Parallelism cap from SPENCER_THREADS (default: machine cores)."""
-    raw = os.environ.get("SPENCER_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SPENCER_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError("SPENCER_THREADS must be >= 1")
-    return n
 
 
 def _validate(doc, name, required, optional=()):
@@ -137,12 +123,13 @@ def simulate(doc, snapshot_cb=None):
         snapshot_cb(0, t, zeta, curves)
     step = 0
     while t < t_end * (1 - 1e-12):
-        dt = euler2d.cfl_dt(zeta) if dt_conf == "auto" else dt_conf
+        u = euler2d.velocity_from_vorticity(zeta)
+        dt = u.cfl_dt() if dt_conf == "auto" else dt_conf
         if not math.isfinite(dt):
             dt = t_end - t
         dt = min(dt, t_end - t)
-        u = euler2d.velocity_from_vorticity(zeta)
         curves = euler2d.advect_markers(curves, u, dt)
+        del u  # drops the 4N marker-interpolation grids before the RK4 stages
         zeta = euler2d.rk4_step(zeta, dt)
         t += dt
         step += 1
@@ -178,19 +165,6 @@ def read_invariant_csv(path):
     if len(records) < 2:
         raise ConfigError(f"{path} holds fewer than two records")
     return labels, records
-
-
-def write_pgm(path, values, maxval=255):
-    """Plain-ASCII PGM heatmap of a 2D array, for dependency-free inspection."""
-    arr = np.asarray(values, dtype=float)
-    lo, hi = float(arr.min()), float(arr.max())
-    scaled = np.zeros_like(arr, dtype=int) if hi == lo else np.rint(
-        (arr - lo) / (hi - lo) * maxval
-    ).astype(int)
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n")
-        for row in scaled:
-            fh.write(" ".join(str(v) for v in row) + "\n")
 
 
 def print_report(report, as_json=False, out=None):
@@ -504,7 +478,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        thread_cap()  # validates SPENCER_THREADS early
         if args.command == "lie":
             return cmd_lie(args)
         if args.command == "cartan":
@@ -515,7 +488,7 @@ def main(argv=None):
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (cartan.CFLViolation, euler2d.CFLViolation) as exc:
+    except CFLViolation as exc:
         print(f"numerical gate: {exc}", file=sys.stderr)
         return EXIT_GATE
     except OSError as exc:

@@ -5,15 +5,14 @@ zeta = d(u_y)/dx - d(u_x)/dy, u = (dpsi/dy, -dpsi/dx), zeta = -Laplacian(psi).
 Quadratic terms are dealiased with the 2/3 rule.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class CFLViolation(RuntimeError):
-    pass
+from . import CFLViolation
 
 
 @dataclass(frozen=True)
@@ -36,8 +35,22 @@ class GridSpec:
         return np.meshgrid(x, x, indexing="ij")
 
     def wavenumbers(self):
-        k = 2.0 * math.pi * np.fft.fftfreq(self.N, d=self.dx)
-        return np.meshgrid(k, k, indexing="ij")
+        kx, ky, _, _ = _spectral_ops(self)
+        return kx, ky
+
+
+@functools.cache
+def _spectral_ops(grid):
+    """(kx, ky, k^2, 2/3-rule dealias mask) of a grid, built once per distinct
+    grid and returned read-only because every caller shares them."""
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.N, d=grid.dx)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    keep = np.abs(np.fft.fftfreq(grid.N, d=1.0 / grid.N)) <= grid.N / 3.0
+    mx, my = np.meshgrid(keep, keep, indexing="ij")
+    ops = (kx, ky, kx**2 + ky**2, mx & my)
+    for arr in ops:
+        arr.flags.writeable = False
+    return ops
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,11 @@ class VelocityField:
     def max_speed(self):
         return float(np.max(np.hypot(self.u_x, self.u_y)))
 
+    def cfl_dt(self):
+        """Advective step bound dt <= 0.5 * dx / max|u|; +inf for a still field."""
+        vmax = self.max_speed()
+        return math.inf if vmax == 0.0 else 0.5 * self.grid.dx / vmax
+
 
 @dataclass(frozen=True)
 class MarkerCurve:
@@ -95,67 +113,64 @@ class MarkerCurve:
         return MarkerCurve(label, pts)
 
 
-def velocity_from_vorticity(zeta):
-    """Invert zeta -> psi -> u spectrally; the k=0 mode of psi is set to zero
-    (a constant vorticity offset produces no velocity)."""
-    grid = zeta.grid
-    kx, ky = grid.wavenumbers()
-    k2 = kx**2 + ky**2
-    zhat = zeta.spectrum()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi_hat = np.where(k2 > 0, zhat / np.where(k2 > 0, k2, 1.0), 0.0)
+def _velocity(grid, zhat):
+    """The velocity of the vorticity spectrum zhat."""
+    kx, ky, k2, _ = _spectral_ops(grid)
+    psi_hat = np.where(k2 > 0, zhat / np.where(k2 > 0, k2, 1.0), 0.0)
     ux = np.real(np.fft.ifft2(1j * ky * psi_hat))
     uy = np.real(np.fft.ifft2(-1j * kx * psi_hat))
     return VelocityField(grid, ux, uy)
 
 
+def velocity_from_vorticity(zeta):
+    """Invert zeta -> psi -> u spectrally; the k=0 mode of psi is set to zero
+    (a constant vorticity offset produces no velocity)."""
+    return _velocity(zeta.grid, zeta.spectrum())
+
+
 def _dealias_mask(grid):
-    k_int = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
-    cutoff = grid.N / 3.0
-    mx, my = np.meshgrid(np.abs(k_int) <= cutoff, np.abs(k_int) <= cutoff, indexing="ij")
-    return mx & my
+    return _spectral_ops(grid)[3]
+
+
+def tendency(grid, zhat):
+    """The values of rhs_vorticity for the vorticity spectrum zhat: the RK4
+    stage kernel, which takes the spectrum so a stage can share its fft2."""
+    kx, ky, _, mask = _spectral_ops(grid)
+    zhat = zhat * mask
+    u = _velocity(grid, zhat)
+    zx = np.real(np.fft.ifft2(1j * kx * zhat))
+    zy = np.real(np.fft.ifft2(1j * ky * zhat))
+    out_hat = np.fft.fft2(-(u.u_x * zx + u.u_y * zy)) * mask
+    out_hat[0, 0] = 0.0
+    return np.real(np.fft.ifft2(out_hat))
 
 
 def rhs_vorticity(zeta):
     """-(u . grad) zeta with 2/3-rule dealiasing; the mean mode is pinned to
     zero exactly (the nonlinear term is a flux divergence)."""
-    grid = zeta.grid
-    kx, ky = grid.wavenumbers()
-    mask = _dealias_mask(grid)
-    zhat = zeta.spectrum() * mask
-    k2 = kx**2 + ky**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi_hat = np.where(k2 > 0, zhat / np.where(k2 > 0, k2, 1.0), 0.0)
-    ux = np.real(np.fft.ifft2(1j * ky * psi_hat))
-    uy = np.real(np.fft.ifft2(-1j * kx * psi_hat))
-    zx = np.real(np.fft.ifft2(1j * kx * zhat))
-    zy = np.real(np.fft.ifft2(1j * ky * zhat))
-    out_hat = np.fft.fft2(-(ux * zx + uy * zy)) * mask
-    out_hat[0, 0] = 0.0
-    return VorticityField(grid, np.real(np.fft.ifft2(out_hat)))
+    return VorticityField(zeta.grid, tendency(zeta.grid, zeta.spectrum()))
 
 
-def cfl_dt(zeta, safety=0.5):
-    """Advective step bound dt <= safety * dx / max|u|; +inf for a still field."""
-    u = velocity_from_vorticity(zeta)
-    vmax = u.max_speed()
-    return math.inf if vmax == 0.0 else safety * zeta.grid.dx / vmax
+def cfl_dt(zeta):
+    """Advective step bound of zeta's velocity (VelocityField.cfl_dt)."""
+    return velocity_from_vorticity(zeta).cfl_dt()
 
 
-def rk4_step(zeta, dt, enforce_cfl=True):
-    """Classical 4-stage step of the vorticity transport equation."""
+def rk4_step(zeta, dt):
+    """Classical 4-stage step of the vorticity transport equation; raises
+    CFLViolation when dt exceeds the advective bound of zeta."""
     if dt == 0.0:
         return zeta
-    if enforce_cfl:
-        bound = cfl_dt(zeta)
-        if dt > bound:
-            raise CFLViolation(f"dt={dt} exceeds the advective bound {bound}")
     g = zeta.grid
     z = zeta.values
-    k1 = rhs_vorticity(zeta).values
-    k2 = rhs_vorticity(VorticityField(g, z + dt / 2 * k1)).values
-    k3 = rhs_vorticity(VorticityField(g, z + dt / 2 * k2)).values
-    k4 = rhs_vorticity(VorticityField(g, z + dt * k3)).values
+    zhat = zeta.spectrum()
+    bound = _velocity(g, zhat).cfl_dt()
+    if dt > bound:
+        raise CFLViolation(f"dt={dt} exceeds the advective bound {bound}")
+    k1 = tendency(g, zhat)
+    k2 = tendency(g, np.fft.fft2(z + dt / 2 * k1))
+    k3 = tendency(g, np.fft.fft2(z + dt / 2 * k2))
+    k4 = tendency(g, np.fft.fft2(z + dt * k3))
     return VorticityField(g, z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
 
 

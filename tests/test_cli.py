@@ -208,6 +208,16 @@ class TestEuler:
         assert rc == 1
         assert "dealias" in err
 
+    def test_fixed_dt_above_cfl_is_gate_exit(self, capsys, tmp_path):
+        cfg = self.write_config(
+            tmp_path / "c.json",
+            dt=1.0,
+            vortices=[{"x": math.pi, "y": math.pi, "alpha": 4.0, "sigma": 0.6}],
+        )
+        rc, _, err = run_cli(capsys, ["euler", "run", "--config", str(cfg)])
+        assert rc == 2
+        assert "numerical gate" in err
+
     def test_negative_dt_rejected(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path / "c.json", dt=-0.1)
         rc, _, _ = run_cli(capsys, ["euler", "run", "--config", str(cfg)])
@@ -270,20 +280,3 @@ class TestReport:
         rc, _, _ = run_cli(capsys, ["report", "--csv", str(path)])
         assert rc == 1
 
-
-class TestEnvironment:
-    def test_bad_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPENCER_THREADS", "many")
-        rc, _, err = run_cli(capsys, ["lie", "verify", "--algebra", "su2"])
-        assert rc == 1
-        assert "SPENCER_THREADS" in err
-
-    def test_zero_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPENCER_THREADS", "0")
-        rc, _, _ = run_cli(capsys, ["lie", "verify", "--algebra", "su2"])
-        assert rc == 1
-
-    def test_valid_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPENCER_THREADS", "2")
-        rc, _, _ = run_cli(capsys, ["lie", "verify", "--algebra", "su2"])
-        assert rc == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spencerflow import cartan as ca
 from spencerflow import euler2d as eu
 
 
@@ -149,6 +150,9 @@ class TestTimeStepping:
         zeta = single_mode(grid, 1, 0)
         with pytest.raises(eu.CFLViolation):
             eu.rk4_step(zeta, 10.0)
+
+    def test_one_cfl_exception(self):
+        assert eu.CFLViolation is ca.CFLViolation
 
     def test_steady_state_long_run(self, grid):
         zeta = single_mode(grid, 1, 0)
