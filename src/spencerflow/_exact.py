@@ -1,59 +1,57 @@
-"""Exact rational linear algebra: row echelon, rank, nullspace over Fraction."""
+"""Exact rational linear algebra on sparse rows: rank and nullspace.
+
+A matrix is a list of rows, each a {column: value} map of ints or Fractions
+(a dense row `r` converts as `dict(enumerate(r))`). Elimination is
+fraction-free: each row is cleared of denominators, then reduced against the
+pivot keyed by its leading column (cross-multiplied, then divided by the gcd
+of its entries) until it is zero or becomes a new pivot.
+"""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def row_echelon(rows):
-    """Reduce a list of Fraction rows in place; return pivot column indices."""
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    pivots = []
-    piv_r = 0
-    for piv_c in range(n_cols):
-        for i_row in range(piv_r, len(rows)):
-            if rows[i_row][piv_c] != 0:
-                break
-        else:
-            continue
-        rows[piv_r], rows[i_row] = rows[i_row], rows[piv_r]
-        fp = rows[piv_r][piv_c]
-        rows[piv_r] = [x / fp for x in rows[piv_r]]
-        for r in range(len(rows)):
-            if r == piv_r:
-                continue
-            fr = rows[r][piv_c]
-            if fr == 0:
-                continue
-            rows[r] = [a - b * fr for a, b in zip(rows[r], rows[piv_r])]
-        pivots.append(piv_c)
-        piv_r += 1
-        if piv_r == len(rows):
-            break
+def _integer_row(row):
+    """Row times the lcm of its denominators, zeros dropped; floats refused."""
+    if any(isinstance(v, float) for v in row.values()):
+        raise ValueError("exact rows take ints and Fractions, not floats")
+    row = {c: Fraction(v) for c, v in row.items() if v}
+    den = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+
+
+def _eliminate(rows):
+    """Echelon form of the rows as {leading column: integer row}."""
+    pivots = {}
+    for row in map(_integer_row, rows):
+        while row and (lead := min(row)) in pivots:
+            piv = pivots[lead]
+            f = gcd(piv[lead], row[lead])
+            a, b = piv[lead] // f, row[lead] // f
+            row = {c: x for c in row.keys() | piv.keys()
+                   if (x := a * row.get(c, 0) - b * piv.get(c, 0))}
+            f = gcd(*row.values())
+            row = {c: v // f for c, v in row.items()}
+        if row:
+            pivots[min(row)] = row
     return pivots
 
 
 def rank(rows):
-    """Exact rank of a matrix given as a list of rows of Fractions/ints."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    return len(row_echelon(work))
+    """Exact rank of a matrix given as a list of sparse rows."""
+    return len(_eliminate(rows))
 
 
-def nullspace(rows, n_cols=None):
-    """Basis (list of Fraction vectors) of the right nullspace of the matrix."""
-    if not rows:
-        if n_cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return [[Fraction(int(i == j)) for j in range(n_cols)] for i in range(n_cols)]
-    n_cols = len(rows[0])
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots = row_echelon(work)
-    free = [c for c in range(n_cols) if c not in pivots]
+def nullspace(rows, n_cols):
+    """Basis (dense Fraction vectors) of the right nullspace: one vector per
+    free column f, 1 at f and 0 at the other free columns, by back-substitution
+    through the echelon rows."""
+    pivots = _eliminate(rows)
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * n_cols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -work[r][f]
-        basis.append(vec)
+    for f in (c for c in range(n_cols) if c not in pivots):
+        vec = {f: Fraction(1)}
+        for p in sorted(pivots, reverse=True):
+            row = pivots[p]
+            vec[p] = Fraction(-sum(v * vec.get(c, 0) for c, v in row.items()), row[p])
+        basis.append([vec.get(c, Fraction(0)) for c in range(n_cols)])
     return basis

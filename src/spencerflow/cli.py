@@ -364,7 +364,7 @@ def cmd_lie(args):
         return EXIT_OK
 
     if args.subcommand == "cohomology":
-        dims = [spencer.ce_cohomology_dim(g, args.p, q) for q in range(args.max_q + 1)]
+        dims = spencer.ce_cohomology_dims(g, args.p, args.max_q)
         payload = {"algebra": args.algebra, "p": args.p, "dims": dims}
         _print_or_dump(
             payload, args, [f"H^q(g, Sym^{args.p} g) for q=0..{args.max_q}: "

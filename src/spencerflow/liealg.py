@@ -21,7 +21,7 @@ class DimensionMismatch(ValueError):
 
 def _as_fraction(x):
     if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
+        raise ValueError(f"exact input must be an int or Fraction, not the float {x!r}")
     return Fraction(x)
 
 
@@ -69,7 +69,11 @@ def _freeze_constants(dim, entries):
 def make_algebra(dim, labels, sparse_entries):
     """Algebra from sparse entries [(a, b, c, value)] with a != b; the (b, a)
     mirror is filled automatically."""
-    for a, b, _, _ in sparse_entries:
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"dimension must be a positive int, not {dim!r}")
+    for a, b, c, _ in sparse_entries:
+        if not all(type(i) is int and 0 <= i < dim for i in (a, b, c)):
+            raise ValueError(f"constant at {(a, b, c)}: indices must be ints in 0..{dim - 1}")
         if a == b:
             raise ValueError("diagonal entries [e_a, e_a] are identically zero")
     entries = [(a, b, c, _as_fraction(v)) for a, b, c, v in sparse_entries]
@@ -81,13 +85,27 @@ def from_json(doc):
     {dim, labels, constants: [[a, b, c, numerator, denominator], ...]}."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError("algebra document must be a JSON object")
     allowed = {"dim", "labels", "constants"}
     unknown = set(doc) - allowed
     if unknown:
         raise ValueError(f"unknown keys in algebra document: {sorted(unknown)}")
-    dim = doc["dim"]
-    entries = [(a, b, c, Fraction(num, den)) for a, b, c, num, den in doc["constants"]]
-    return make_algebra(dim, doc["labels"], entries)
+    if set(doc) != allowed:
+        raise ValueError(f"missing keys in algebra document: {sorted(allowed - set(doc))}")
+    if not isinstance(doc["labels"], list) or not isinstance(doc["constants"], list):
+        raise ValueError("algebra document: labels and constants must be lists")
+    entries = []
+    for entry in doc["constants"]:
+        if not isinstance(entry, list) or len(entry) != 5:
+            raise ValueError(f"constant {entry}: expected [a, b, c, numerator, denominator]")
+        a, b, c, num, den = entry
+        if type(num) is not int or type(den) is not int:
+            raise ValueError(f"constant {entry}: numerator and denominator must be ints")
+        if den == 0:
+            raise ValueError(f"constant {entry}: zero denominator")
+        entries.append((a, b, c, Fraction(num, den)))
+    return make_algebra(doc["dim"], doc["labels"], entries)
 
 
 def preset(name):
@@ -228,7 +246,7 @@ def killing_form(g):
 
 def is_semisimple(g):
     """Cartan's criterion: the Killing form is non-degenerate."""
-    return _exact.rank(killing_form(g)) == g.dim
+    return _exact.rank([dict(enumerate(r)) for r in killing_form(g)]) == g.dim
 
 
 def center_basis(g):
@@ -236,7 +254,7 @@ def center_basis(g):
     rows = []
     for b in range(g.dim):
         for c in range(g.dim):
-            rows.append([g.C(a, b, c) for a in range(g.dim)])
+            rows.append({a: g.C(a, b, c) for a in range(g.dim)})
     return [LieVector(tuple(v)) for v in _exact.nullspace(rows, n_cols=g.dim)]
 
 
@@ -248,10 +266,10 @@ def stabilizer_subalgebra(g, lam):
     rows = []
     for a in range(g.dim):
         rows.append(
-            [
-                -sum(g.C(b, a, c) * lam_exact[c] for c in range(g.dim))
+            {
+                b: -sum(g.C(b, a, c) * lam_exact[c] for c in range(g.dim))
                 for b in range(g.dim)
-            ]
+            }
         )
     return [LieVector(tuple(v)) for v in _exact.nullspace(rows, n_cols=g.dim)]
 

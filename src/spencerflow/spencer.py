@@ -161,93 +161,93 @@ def nilpotency_report(g, max_degree):
 # --- Chevalley-Eilenberg cohomology with coefficients in Sym^p(g) ---
 
 
-def _module_action(g, a, p):
-    """Matrix of the derivation extension of ad_{e_a} on Sym^p(g)."""
-    basis = sym_basis(g.dim, p)
+def _brackets(g):
+    """Nonzero structure constants, read once: ad[a][b] lists (c, C^c_{ab}),
+    pairs[c] lists (a, b, C^c_{ab}) with a < b."""
+    ad = [[[] for _ in range(g.dim)] for _ in range(g.dim)]
+    pairs = [[] for _ in range(g.dim)]
+    for a, b in itertools.combinations(range(g.dim), 2):
+        for c in range(g.dim):
+            if v := g.C(a, b, c):
+                ad[a][b].append((c, v))
+                ad[b][a].append((c, -v))
+                pairs[c].append((a, b, v))
+    return ad, pairs
+
+
+def _module_action(ad_a, basis):
+    """Derivation extension of ad_{e_a} on Sym^p(g): the sparse image
+    {row: value} of each basis monomial."""
     index = {idx: i for i, idx in enumerate(basis)}
-    D = len(basis)
-    M = [[Fraction(0)] * D for _ in range(D)]
-    for col, idx in enumerate(basis):
-        for j in range(p):
-            for c in range(g.dim):
-                Cv = g.C(a, idx[j], c)
-                if Cv != 0:
-                    M[index[_replace_slot(idx, j, c)]][col] += Cv
-    return M
+    cols = [{} for _ in basis]
+    for col, idx in zip(cols, basis):
+        for j, x in enumerate(idx):
+            for c, v in ad_a[x]:
+                r = index[_replace_slot(idx, j, c)]
+                col[r] = col.get(r, 0) + v
+    return cols
 
 
 def _ce_differential(g, p, q):
-    """Matrix of d: Lambda^q g* (x) Sym^p g -> Lambda^{q+1} g* (x) Sym^p g."""
-    n = g.dim
-    mod_basis = sym_basis(n, p)
-    D = len(mod_basis)
-    rho = [_module_action(g, a, p) for a in range(n)]
-    cols_basis = list(itertools.combinations(range(n), q))
-    rows_basis = list(itertools.combinations(range(n), q + 1))
-    row_index = {S: i for i, S in enumerate(rows_basis)}
-    mat = [[Fraction(0)] * (len(cols_basis) * D) for _ in range(len(rows_basis) * D)]
-
-    for ci, S in enumerate(cols_basis):
-        for m, _idx in enumerate(mod_basis):
-            col = ci * D + m
-            for T in rows_basis:
-                # term 1: sum_i (-1)^i rho(e_{T_i}) applied when T minus T_i == S
-                for i, ti in enumerate(T):
-                    rest = T[:i] + T[i + 1:]
-                    if rest != S:
-                        continue
-                    r0 = row_index[T] * D
-                    for mm in range(D):
-                        cm = rho[ti][mm][m]
-                        if cm != 0:
-                            mat[r0 + mm][col] += (-1) ** i * cm
-                # term 2: sum_{i<j} (-1)^{i+j} phi([e_{T_i}, e_{T_j}], rest)
-                for i in range(q + 1):
-                    for j in range(i + 1, q + 1):
-                        rest = tuple(x for k, x in enumerate(T) if k not in (i, j))
-                        for c in range(n):
-                            Cv = g.C(T[i], T[j], c)
-                            if Cv == 0 or c in rest:
-                                continue
-                            combined = (c,) + rest
-                            if tuple(sorted(combined)) != S:
-                                continue
-                            sign = _sort_sign(combined)
-                            r0 = row_index[T] * D
-                            mat[r0 + m][col] += (-1) ** (i + j) * Cv * sign
-    return mat
+    """Sparse columns of d: Lambda^q g* (x) Sym^p g -> Lambda^{q+1} g* (x) Sym^p g,
+      (d phi)(T) = sum_i (-1)^i rho(e_{T_i}) phi(T minus T_i)
+                 + sum_{i<j} (-1)^{i+j} phi([e_{T_i}, e_{T_j}], T minus T_i, T_j).
+    Column (S, m) is the image {row: value} of e^S (x) m; row (T, mm) is at
+    row_of[T] * D + mm. Both terms are enumerated from S."""
+    basis = sym_basis(g.dim, p)
+    D = len(basis)
+    ad, pairs = _brackets(g)
+    rho = [_module_action(ad_a, basis) for ad_a in ad]
+    row_of = {T: i for i, T in enumerate(itertools.combinations(range(g.dim), q + 1))}
+    cols = []
+    for S in itertools.combinations(range(g.dim), q):
+        ext = {}  # term 2 acts on the exterior factor alone: T -> coefficient
+        for k, c in enumerate(S):
+            rest = S[:k] + S[k + 1:]
+            for a, b, v in pairs[c]:
+                if a not in rest and b not in rest:
+                    T = tuple(sorted(rest + (a, b)))
+                    ext[T] = ext.get(T, 0) + (-1) ** (T.index(a) + T.index(b) + k) * v
+        grow = []  # term 1: T = S + {t}, with t at position i of T
+        for t in range(g.dim):
+            if t not in S:
+                i = sum(x < t for x in S)
+                grow.append((t, i, row_of[S[:i] + (t,) + S[i:]]))
+        for m in range(D):
+            col = {row_of[T] * D + m: v for T, v in ext.items()}
+            for t, i, r in grow:
+                for mm, v in rho[t][m].items():
+                    col[r * D + mm] = col.get(r * D + mm, 0) + (-1) ** i * v
+            cols.append(col)
+    return cols
 
 
-def _sort_sign(seq):
-    """Sign of the permutation sorting a tuple of distinct integers."""
-    sign = 1
-    items = list(seq)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
+def ce_cohomology_dims(g, p, max_q):
+    """[dim H^q(g, Sym^p g) for q = 0..max_q], ranking each CE differential
+    d_0 .. d_min(max_q, dim - 1) exactly once; d_{-1} and d_dim are zero."""
+    if p < 0 or max_q < 0:
+        raise ValueError(f"degrees must be non-negative (p={p}, max_q={max_q})")
+    ranks = [_exact.rank(_ce_differential(g, p, q)) for q in range(min(max_q + 1, g.dim))]
+    ranks = [0] + ranks + [0] * (max_q + 1 - len(ranks))
+    D = sym_space_dim(g.dim, p)
+    return [comb(g.dim, q) * D - ranks[q + 1] - ranks[q] for q in range(max_q + 1)]
 
 
 def ce_cohomology_dim(g, p, q):
     """dim H^q(g, Sym^p g) via exact ranks of the CE differentials."""
-    if p < 0 or q < 0:
-        raise ValueError("degrees must be non-negative")
-    if q > g.dim:
-        return 0
-    dim_cq = comb(g.dim, q) * sym_space_dim(g.dim, p)
-    rank_dq = _exact.rank(_ce_differential(g, p, q)) if q < g.dim else 0
-    rank_dqm1 = _exact.rank(_ce_differential(g, p, q - 1)) if q >= 1 else 0
-    return dim_cq - rank_dq - rank_dqm1
+    return ce_cohomology_dims(g, p, q)[q]
 
 
 def invariant_subspace_dim(g, p):
     """dim (Sym^p g)^g via the stacked module-action nullspace (independent of
     the CE differential path)."""
-    D = sym_space_dim(g.dim, p)
-    rows = []
-    for a in range(g.dim):
-        rows.extend(_module_action(g, a, p))
+    basis = sym_basis(g.dim, p)
+    D = len(basis)
+    rows = [{} for _ in range(g.dim * D)]
+    for a, ad_a in enumerate(_brackets(g)[0]):
+        for m, col in enumerate(_module_action(ad_a, basis)):
+            for r, v in col.items():
+                rows[a * D + r][m] = v
     return len(_exact.nullspace(rows, n_cols=D))
 
 

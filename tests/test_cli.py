@@ -65,6 +65,58 @@ class TestLie:
         assert rc == 1
         assert "config error" in err
 
+    def test_negative_max_q_is_config_error(self, capsys):
+        rc, out, err = run_cli(
+            capsys, ["lie", "cohomology", "--algebra", "su2", "--max-q", "-1"]
+        )
+        assert rc == 1
+        assert out == ""
+        assert "config error" in err and "max_q=-1" in err
+
+    @pytest.mark.parametrize(
+        "constant, message",
+        [
+            ([0, 1, 3, 1, 1], "indices must be ints in 0..2"),
+            ([-1, 0, 1, 1, 1], "indices must be ints in 0..2"),
+            ([0, 1, 2, 1, 0], "zero denominator"),
+            ([0, 1, 2, 1.5, 1], "must be ints"),
+        ],
+        ids=["index-past-dim", "negative-index", "zero-denominator", "float-numerator"],
+    )
+    def test_bad_algebra_document_is_config_error(self, capsys, tmp_path, constant, message):
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(
+            {"dim": 3, "labels": ["a", "b", "c"], "constants": [constant]}
+        ))
+        rc, out, err = run_cli(capsys, ["lie", "verify", "--algebra", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("config error: constant")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([[1]], "must be a JSON object"),
+            ({"dim": 3, "labels": ["a", "b", "c"]}, "missing keys"),
+            ({"dim": 3, "labels": 3, "constants": []}, "must be lists"),
+            ({"dim": 3, "labels": ["a", "b", "c"], "constants": 5}, "must be lists"),
+            ({"dim": 3, "labels": ["a", "b", "c"], "constants": [[0, 1, 2, 1]]},
+             "expected [a, b, c, numerator, denominator]"),
+            ({"dim": "3", "labels": ["a", "b", "c"], "constants": []}, "positive int"),
+        ],
+        ids=["not-object", "missing-key", "labels-not-list", "constants-not-list",
+             "short-constant", "string-dim"],
+    )
+    def test_malformed_algebra_document_is_config_error(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run_cli(capsys, ["lie", "verify", "--algebra", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("config error:")
+        assert message in err
+
 
 class TestCartan:
     @staticmethod

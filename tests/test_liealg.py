@@ -149,6 +149,17 @@ class TestStabilizer:
         for X in la.stabilizer_subalgebra(sl2, lam):
             assert all(c == 0 for c in la.coad_apply(sl2, X, lam).coeffs)
 
+    def test_float_lambda_rejected(self, su2):
+        # a float has no exact rational meaning here; it used to be rounded
+        # to a nearby fraction, so the "exact" basis was of another problem
+        lam = la.DualVector((0.1, 0.0, 1.0))
+        with pytest.raises(ValueError, match="float"):
+            la.stabilizer_subalgebra(su2, lam)
+        with pytest.raises(ValueError, match="float"):
+            la.basis_vector(su2, 0, scale=0.5)
+        with pytest.raises(ValueError, match="float"):
+            la.make_algebra(2, ["x", "y"], [(0, 1, 0, 0.5)])
+
 
 class TestCurvatureAction:
     def test_su2_integrable_direction(self, su2):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -157,6 +158,103 @@ class TestCECohomology:
 
     def test_q_above_dim_is_zero(self, su2):
         assert sp.ce_cohomology_dim(su2, 0, 4) == 0
+
+
+def so4_permuted():
+    """so(4) = su2 + su2 with the six basis elements in a shuffled order."""
+    perm = [3, 0, 5, 1, 4, 2]
+    entries = [
+        (perm[a + off], perm[b + off], perm[c + off], 1)
+        for off in (0, 3)
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    ]
+    return la.make_algebra(6, [f"x{i}" for i in range(6)], entries)
+
+
+def sl3():
+    """sl(3) in the basis E_ij (i != j), H1 = E11 - E22, H2 = E22 - E33, with
+    the structure constants read off the matrix commutators."""
+    off = [(i, j) for i in range(3) for j in range(3) if i != j]
+
+    def unit(i, j):
+        return [[int((r, c) == (i, j)) for c in range(3)] for r in range(3)]
+
+    def diag(*d):
+        return [[d[r] if r == c else 0 for c in range(3)] for r in range(3)]
+
+    def mul(A, B):
+        return [[sum(A[r][k] * B[k][c] for k in range(3)) for c in range(3)] for r in range(3)]
+
+    def coords(M):  # x H1 + y H2 = diag(x, y - x, -y)
+        return [M[i][j] for i, j in off] + [M[0][0], -M[2][2]]
+
+    basis = [unit(i, j) for i, j in off] + [diag(1, -1, 0), diag(0, 1, -1)]
+    entries = []
+    for a in range(8):
+        for b in range(a + 1, 8):
+            AB, BA = mul(basis[a], basis[b]), mul(basis[b], basis[a])
+            bracket = [[x - y for x, y in zip(r, s)] for r, s in zip(AB, BA)]
+            entries += [(a, b, c, v) for c, v in enumerate(coords(bracket)) if v]
+    return la.make_algebra(8, [f"x{i}" for i in range(8)], entries)
+
+
+@pytest.fixture(scope="module")
+def so4():
+    return so4_permuted()
+
+
+class TestCEDifferential:
+    def test_square_is_zero(self, su2, sl2, so4):
+        for g in (su2, sl2, so4):
+            for p in range(3):
+                d = [sp._ce_differential(g, p, q) for q in range(g.dim)]
+                for q in range(g.dim - 1):
+                    for col in d[q]:
+                        image = {}
+                        for r, x in col.items():
+                            for rr, y in d[q + 1][r].items():
+                                image[rr] = image.get(rr, 0) + x * y
+                        assert all(v == 0 for v in image.values()), (g.basis_labels, p, q)
+
+    def test_shape(self, so4):
+        d2 = sp._ce_differential(so4, 2, 2)
+        assert len(d2) == 15 * 21  # columns: Lambda^2 (x) Sym^2 of a dim-6 algebra
+        assert max(max(col, default=0) for col in d2) < 20 * 21
+
+    def test_each_differential_ranked_once(self, so4, monkeypatch):
+        ranked = []
+        rank = sp._exact.rank
+        monkeypatch.setattr(sp._exact, "rank", lambda rows: ranked.append(rows) or rank(rows))
+        sp.ce_cohomology_dims(so4, 2, 6)
+        assert len(ranked) == 6
+
+    def test_so4_permuted_sym2(self, so4):
+        assert sp.ce_cohomology_dims(so4, 2, 6) == [2, 0, 0, 4, 0, 0, 2]
+
+    def test_sl3_trivial_coeffs(self):
+        assert sp.ce_cohomology_dims(sl3(), 0, 8) == [1, 0, 0, 1, 0, 1, 0, 0, 1]
+
+    def test_sl3_adjoint_coeffs_vanish(self):
+        # Whitehead: no cohomology with coefficients in the adjoint module
+        assert sp.ce_cohomology_dims(sl3(), 1, 8) == [0] * 9
+
+    def test_euler_characteristic(self, su2, sl2, ab2, so4):
+        for g, max_p in ((su2, 2), (sl2, 2), (ab2, 2), (so4, 2), (sl3(), 1)):
+            for p in range(max_p + 1):
+                dims = sp.ce_cohomology_dims(g, p, g.dim)
+                chains = [comb(g.dim, q) * sp.sym_space_dim(g.dim, p) for q in range(g.dim + 1)]
+                assert sum((-1) ** q * h for q, h in enumerate(dims)) == sum(
+                    (-1) ** q * c for q, c in enumerate(chains)
+                )
+
+    def test_max_q_beyond_dim_pads_zeros(self, su2):
+        assert sp.ce_cohomology_dims(su2, 0, 5) == [1, 0, 0, 1, 0, 0]
+
+    def test_negative_degrees_rejected(self, su2):
+        with pytest.raises(ValueError, match="non-negative"):
+            sp.ce_cohomology_dims(su2, 0, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            sp.ce_cohomology_dim(su2, -1, 0)
 
 
 BETTI_TABLE = [
