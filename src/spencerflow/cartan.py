@@ -78,70 +78,96 @@ class CharacteristicState:
             raise ValueError("non-finite state")
 
 
-def _C_float(g):
-    n = g.dim
-    C = np.zeros((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                C[a, b, c] = float(g.C(a, b, c))
-    return C
+def _structure_tensor(g):
+    """C[a, b, c] = C^c_{ab} of the algebra g as a float64 array. A float array
+    passes through unchanged, so the functions below take either g or its
+    tensor, and a run converts the Fractions once."""
+    if isinstance(g, np.ndarray):
+        return g
+    return np.array(g.structure_constants, dtype=float)
+
+
+def _floats(vec):
+    """Coefficients of a LieVector or DualVector (or a float array) as float64."""
+    return np.asarray(getattr(vec, "coeffs", vec), dtype=float)
 
 
 def rhs_generator(g, A_dot_v):
     """Matrix M with (dlambda/ds)_a = M[a, c] lambda_c = -C^c_{ba} (A.v)^b lambda_c."""
-    C = _C_float(g)
-    Av = np.array([float(x) for x in A_dot_v.coeffs])
     # M[a, c] = -sum_b C[b, a, c] * Av[b]
-    return -np.einsum("bac,b->ac", C, Av)
+    return -np.einsum("bac,b->ac", _structure_tensor(g), _floats(A_dot_v))
 
 
 def cartan_rhs(g, A_dot_v, lam):
     """(dlambda/ds)_a = -C^c_{ba} (A.v)^b lambda_c."""
-    lam_arr = np.array([float(x) for x in lam.coeffs])
-    return DualVector(tuple(rhs_generator(g, A_dot_v) @ lam_arr))
+    return DualVector(tuple(rhs_generator(g, A_dot_v) @ _floats(lam)))
 
 
 def cfl_bound(g, A_dot_v):
     """ds_max = 1 / max_{a,b,c} |C^c_{ba} (A.v)^b|; +inf when the max is 0."""
-    C = _C_float(g)
-    Av = np.array([float(x) for x in A_dot_v.coeffs])
-    worst = np.max(np.abs(C * Av[:, None, None]))
+    worst = np.max(np.abs(_structure_tensor(g) * _floats(A_dot_v)[:, None, None]))
     return math.inf if worst == 0.0 else 1.0 / worst
 
 
-def step(g, state, A, v, ds, scheme="euler_paper", renormalize=False):
+class PointGenerators:
+    """A.v and the generator M = rhs_generator(g, A.v) at the base points of one
+    characteristic, computed once per distinct point.
+
+    One instance serves one run: `integrate` shares it across its steps, so
+    the structure tensor is converted once, and a step's end point, which is
+    bit for bit the next step's start point, is not contracted again. Only
+    the last point is kept; RK4's two midpoint stages share their generator
+    inside `step`.
+    """
+
+    def __init__(self, g, A, v):
+        self.C = _structure_tensor(g)
+        self.A = A
+        self.v = np.array(v, dtype=float)
+        self._x = None
+        self._last = None
+
+    def __call__(self, x):
+        """(A.v(x), M(x)) as float arrays, for the base point x (a tuple)."""
+        if x != self._x:
+            Av = _floats(self.A.contract(x, self.v))
+            self._x, self._last = x, (Av, rhs_generator(self.C, Av))
+        return self._last
+
+
+def step(g, state, A, v, ds, scheme="euler_paper", renormalize=False, generators=None):
     """Advance one characteristic step.
 
     euler_paper is the explicit first-order update
     lambda_a(s+ds) = lambda_a(s) - ds * C^c_{ba} (A.v)^b lambda_c(s);
     rk4 is the classical 4-stage scheme on the same right-hand side.
     renormalize rescales lambda back to its norm at step entry.
+    generators is the run's PointGenerators(g, A, v), shared by consecutive
+    steps; a fresh one is built when it is omitted.
     """
     if scheme not in ("euler_paper", "rk4"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    at = PointGenerators(g, A, v) if generators is None else generators
     x = np.array(state.x, dtype=float)
     v = np.array(v, dtype=float)
-    lam = np.array([float(c) for c in state.lam.coeffs])
-    Av0 = A.contract(tuple(x), v)
-    bound = cfl_bound(g, Av0)
+    lam = _floats(state.lam)
+    Av0, M0 = at(tuple(x))
+    bound = cfl_bound(at.C, Av0)
     if ds >= bound:
         raise CFLViolation(
             f"step size {ds} >= stability bound {bound} "
             "(ds * max|C^c_ba (A.v)^b| must stay below 1)"
         )
 
-    def f(sigma, lam_in):
-        Av = A.contract(tuple(x + sigma * v), v)
-        return rhs_generator(g, Av) @ lam_in
-
+    x_end = tuple(x + ds * v)
     if scheme == "euler_paper":
-        lam_new = lam + ds * f(0.0, lam)
+        lam_new = lam + ds * (M0 @ lam)
     else:
-        k1 = f(0.0, lam)
-        k2 = f(ds / 2, lam + ds / 2 * k1)
-        k3 = f(ds / 2, lam + ds / 2 * k2)
-        k4 = f(ds, lam + ds * k3)
+        M_mid = at(tuple(x + ds / 2 * v))[1]
+        k1 = M0 @ lam
+        k2 = M_mid @ (lam + ds / 2 * k1)
+        k3 = M_mid @ (lam + ds / 2 * k2)
+        k4 = at(x_end)[1] @ (lam + ds * k3)
         lam_new = lam + ds / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
     if renormalize:
@@ -151,9 +177,7 @@ def step(g, state, A, v, ds, scheme="euler_paper", renormalize=False):
             lam_new = lam_new * (norm0 / norm1)
     if not np.all(np.isfinite(lam_new)):
         raise RuntimeError("non-finite state after step")
-    return CharacteristicState(
-        state.s + ds, tuple(x + ds * v), DualVector(tuple(lam_new))
-    )
+    return CharacteristicState(state.s + ds, x_end, DualVector(tuple(lam_new)))
 
 
 def _expm(M, tol=1e-14):
@@ -184,17 +208,39 @@ def coadjoint_flow_exact(g, a, lam0, s):
 def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
     """Integrate a characteristic from s=0 to s_end; returns the list of states
     (the final step is shortened to land on s_end exactly)."""
+    generators = PointGenerators(g, A, v)
     state = CharacteristicState(0.0, (0.0,) * len(v), lam0)
     states = [state]
     n_full = int(s_end / ds)
     for _ in range(n_full):
-        state = step(g, state, A, v, ds, scheme=scheme, renormalize=renormalize)
+        state = step(g, state, A, v, ds, scheme, renormalize, generators)
         states.append(state)
     rem = s_end - n_full * ds
     if rem > 1e-15 * max(1.0, abs(s_end)):
-        state = step(g, state, A, v, rem, scheme=scheme, renormalize=renormalize)
+        state = step(g, state, A, v, rem, scheme, renormalize, generators)
         states.append(state)
     return states
+
+
+def residual_profile(g, A, v, states):
+    """Central-difference residual max_a |dlambda_a/ds - (M(x) lambda)_a| of the
+    transport equation at each state of a characteristic, with M =
+    rhs_generator(g, A.v(x)). It reads 0 at the two ends and at a state whose
+    neighbours are not equally spaced in s (the final, shortened step);
+    spacings that differ only by the rounding of s count as equal."""
+    at = PointGenerators(g, A, v)
+    s = [st.s for st in states]
+    lams = np.array([st.lam.coeffs for st in states], dtype=float)
+    resid = np.zeros(len(states))
+    for n in range(1, len(states) - 1):
+        h = s[n + 1] - s[n]
+        hm = s[n] - s[n - 1]
+        if h <= 0 or abs(h - hm) > 1e-12 * max(h, hm) + 2 * math.ulp(s[n + 1]):
+            continue
+        M = at(states[n].x)[1]
+        dlam = (lams[n + 1] - lams[n - 1]) / (2 * h)
+        resid[n] = np.max(np.abs(dlam - M @ lams[n]))
+    return resid
 
 
 def cartan_residual(g, A, lam_samples, h, v=(1.0,)):
@@ -205,17 +251,11 @@ def cartan_residual(g, A, lam_samples, h, v=(1.0,)):
     if len(lam_samples) < 3:
         raise ValueError("need at least 3 samples for central differences")
     v = np.array(v, dtype=float)
-    worst = 0.0
-    for n in range(1, len(lam_samples) - 1):
-        x = tuple(n * h * v)
-        lam_n = np.array([float(c) for c in lam_samples[n].coeffs])
-        lam_p = np.array([float(c) for c in lam_samples[n + 1].coeffs])
-        lam_m = np.array([float(c) for c in lam_samples[n - 1].coeffs])
-        dlam = (lam_p - lam_m) / (2 * h)
-        Av = A.contract(x, v)
-        coad_term = -(rhs_generator(g, Av) @ lam_n)
-        worst = max(worst, np.max(np.abs(dlam + coad_term)))
-    return worst
+    states = [
+        CharacteristicState(n * h, tuple(n * h * v), lam)
+        for n, lam in enumerate(lam_samples)
+    ]
+    return float(np.max(residual_profile(g, A, v, states)))
 
 
 def monopole_radial_check(q, r, h):

@@ -53,6 +53,8 @@ def _load_json(path):
 
 
 def _load_algebra(name_or_path):
+    if not isinstance(name_or_path, str):
+        raise ConfigError(f"algebra must be a preset name or a file path, not {name_or_path!r}")
     try:
         return liealg.preset(name_or_path)
     except (KeyError, ValueError):
@@ -212,13 +214,31 @@ def cmd_euler(args):
 # ---------------------------------------------------------------- cartan
 
 
-def load_cartan_config(doc, g):
+def _finite(value, name):
+    """A config value as a finite float, or a ConfigError naming the field."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, not {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, not {value!r}")
+    return x
+
+
+def _finite_list(value, name):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a non-empty list of numbers, not {value!r}")
+    return tuple(_finite(x, name) for x in value)
+
+
+def load_cartan_config(doc):
     _validate(
         doc,
         "cartan config",
         required=("algebra", "lambda0", "ds", "s_end"),
         optional=("connection", "v", "scheme", "renormalize"),
     )
+    g = _load_algebra(doc["algebra"])
     conn_doc = doc.get("connection", {"preset": "abelian_zero", "params": {}})
     _validate(conn_doc, "connection", required=("preset",), optional=("params",))
     preset = conn_doc["preset"]
@@ -226,34 +246,37 @@ def load_cartan_config(doc, g):
     if preset == "constant":
         _validate(params, "connection params", required=("a",))
         A = cartan.ConnectionSampler.constant(
-            liealg.LieVector(tuple(float(x) for x in params["a"]))
+            liealg.LieVector(_finite_list(params["a"], "a"))
         )
     elif preset == "abelian_zero":
         _validate(params, "connection params", required=())
         A = cartan.ConnectionSampler.abelian_zero(g.dim)
     elif preset == "wu_yang_monopole":
         _validate(params, "connection params", required=("q",))
-        A = cartan.ConnectionSampler.wu_yang_monopole(float(params["q"]))
+        A = cartan.ConnectionSampler.wu_yang_monopole(_finite(params["q"], "q"))
     else:
         raise ConfigError(f"unknown connection preset {preset!r}")
     if A.dim != g.dim:
         raise ConfigError("connection dimension does not match the algebra")
-    lam0 = liealg.DualVector(tuple(float(x) for x in doc["lambda0"]))
+    lam0 = liealg.DualVector(_finite_list(doc["lambda0"], "lambda0"))
     if len(lam0.coeffs) != g.dim:
         raise ConfigError("lambda0 length does not match the algebra dimension")
-    v = tuple(float(x) for x in doc.get("v", [1.0]))
+    v = _finite_list(doc.get("v", [1.0]), "v")
+    ds = _finite(doc["ds"], "ds")
+    if ds <= 0:
+        raise ConfigError(f"ds must be positive, not {ds!r}")
+    s_end = _finite(doc["s_end"], "s_end")
+    if s_end < 0:
+        raise ConfigError(f"s_end must be non-negative, not {s_end!r}")
     scheme = doc.get("scheme", "euler_paper")
     if scheme not in ("euler_paper", "rk4"):
         raise ConfigError(f"unknown scheme {scheme!r}")
-    return A, lam0, v, float(doc["ds"]), float(doc["s_end"]), scheme, bool(
-        doc.get("renormalize", False)
-    )
+    return g, A, lam0, v, ds, s_end, scheme, bool(doc.get("renormalize", False))
 
 
 def cmd_cartan(args):
     doc = _load_json(args.config)
-    g = _load_algebra(doc.get("algebra", ""))
-    A, lam0, v, ds, s_end, scheme, renorm = load_cartan_config(doc, g)
+    g, A, lam0, v, ds, s_end, scheme, renorm = load_cartan_config(doc)
 
     Av0 = A.contract((0.0,) * len(v), v)
     bound = cartan.cfl_bound(g, Av0)
@@ -272,18 +295,7 @@ def cmd_cartan(args):
     states = cartan.integrate(g, lam0, A, v, ds, s_end, scheme, renorm)
     lams = np.array([[float(c) for c in st.lam.coeffs] for st in states])
     norms = np.linalg.norm(lams, axis=1)
-    # post-hoc central-difference residual of the transport equation
-    resid = np.zeros(len(states))
-    for n in range(1, len(states) - 1):
-        h = states[n + 1].s - states[n].s
-        hm = states[n].s - states[n - 1].s
-        if h <= 0 or abs(h - hm) > 1e-12 * max(h, hm):
-            continue
-        Av = A.contract(states[n].x, v)
-        dlam = (lams[n + 1] - lams[n - 1]) / (2 * h)
-        resid[n] = np.max(
-            np.abs(dlam - cartan.rhs_generator(g, Av) @ lams[n])
-        )
+    resid = cartan.residual_profile(g, A, v, states)
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)

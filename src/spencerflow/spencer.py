@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb
 
 from . import _exact
-from .liealg import DimensionMismatch, basis_vector, bracket
+from .liealg import DimensionMismatch
 
 
 @dataclass(frozen=True)

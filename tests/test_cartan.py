@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spencerflow import cartan as ca
 from spencerflow import liealg as la
@@ -195,6 +197,35 @@ class TestResidual:
         samples = [la.DualVector((1.0, 0.0, 0.0))] * 5
         assert ca.cartan_residual(su2, A, samples, 0.1) == pytest.approx(1.0)
 
+    def test_spacings_equal_up_to_rounding_of_s(self, su2):
+        # s accumulated past 16 at ds = 1e-3: the two spacings of the point
+        # after the binade change differ by an ulp of s, about 3.6e-15.
+        A = ca.ConnectionSampler.constant(E3)
+        s = [15.9]
+        while s[-1] < 16.1:
+            s.append(s[-1] + 1e-3)
+        s.append(s[-1] + 4e-4)  # a final, shortened step
+        states = [
+            ca.CharacteristicState(sn, (sn,), la.DualVector((math.cos(sn), math.sin(sn), 0.0)))
+            for sn in s
+        ]
+        resid = ca.residual_profile(su2, A, (1.0,), states)
+        assert resid[0] == resid[-1] == resid[-2] == 0.0
+        assert np.all(resid[1:-2] > 0.0)
+        assert np.max(resid) <= 1e-6
+
+    def test_long_uniform_grid_has_no_skipped_point(self, su2):
+        # n * h rounds differently for each n; no sample may be dropped.
+        A = ca.ConnectionSampler.constant(E3)
+        h = 1e-3
+        samples = self._rotating_samples(h, 20001)
+        states = [
+            ca.CharacteristicState(n * h, (n * h,), lam) for n, lam in enumerate(samples)
+        ]
+        resid = ca.residual_profile(su2, A, (1.0,), states)
+        assert np.all(resid[1:-1] > 0.0)
+        assert ca.cartan_residual(su2, A, samples, h) == np.max(resid)
+
     def test_degenerate_grid_rejected(self, su2):
         A = ca.ConnectionSampler.constant(E3)
         with pytest.raises(ValueError):
@@ -238,3 +269,116 @@ class TestNonholonomy:
     def test_zero_lambda_rejected(self, su2):
         with pytest.raises(ValueError):
             ca.nonholonomy_coefficient(su2, la.DualVector((0.0, 0.0, 0.0)), E3)
+
+
+def structure_tensor_loop(g):
+    """The float tensor built entry by entry from the exact constants."""
+    n = g.dim
+    C = np.zeros((n, n, n))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                C[a, b, c] = float(g.C(a, b, c))
+    return C
+
+
+def reference_step(g, state, A, v, ds, scheme, renormalize):
+    """One step with a fresh tensor and a fresh contraction at every stage."""
+    C = structure_tensor_loop(g)
+    x = np.array(state.x, dtype=float)
+    v = np.array(v, dtype=float)
+    lam = np.array([float(c) for c in state.lam.coeffs])
+
+    def f(sigma, lam_in):
+        Av = np.array([float(c) for c in A.contract(tuple(x + sigma * v), v).coeffs])
+        return -np.einsum("bac,b->ac", C, Av) @ lam_in
+
+    if scheme == "euler_paper":
+        lam_new = lam + ds * f(0.0, lam)
+    else:
+        k1 = f(0.0, lam)
+        k2 = f(ds / 2, lam + ds / 2 * k1)
+        k3 = f(ds / 2, lam + ds / 2 * k2)
+        k4 = f(ds, lam + ds * k3)
+        lam_new = lam + ds / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if renormalize:
+        norm1 = np.linalg.norm(lam_new)
+        if norm1 > 0:
+            lam_new = lam_new * (np.linalg.norm(lam) / norm1)
+    return ca.CharacteristicState(state.s + ds, tuple(x + ds * v), la.DualVector(tuple(lam_new)))
+
+
+def hand_loop(step_fn, g, lam0, A, v, ds, s_end, scheme, renormalize):
+    """integrate's loop, one independent step call at a time."""
+    state = ca.CharacteristicState(0.0, (0.0,) * len(v), lam0)
+    states = [state]
+    n_full = int(s_end / ds)
+    for _ in range(n_full):
+        state = step_fn(g, state, A, v, ds, scheme, renormalize)
+        states.append(state)
+    rem = s_end - n_full * ds
+    if rem > 1e-15 * max(1.0, abs(s_end)):
+        states.append(step_fn(g, state, A, v, rem, scheme, renormalize))
+    return states
+
+
+def unit(w):
+    return tuple(np.array(w) / np.linalg.norm(w))
+
+
+units = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+    lambda w: np.linalg.norm(w) > 0.1
+).map(unit)
+
+
+@pytest.mark.parametrize("name", ["su2", "so3", "sl2"])
+def test_structure_tensor_matches_entrywise_conversion(name):
+    g = la.preset(name)
+    C = ca._structure_tensor(g)
+    assert C.dtype == np.float64
+    assert np.array_equal(C, structure_tensor_loop(g))
+    assert ca._structure_tensor(C) is C
+
+
+@given(
+    st.sampled_from(["su2", "so3", "sl2", "monopole"]),
+    st.sampled_from(["euler_paper", "rk4"]),
+    st.booleans(),
+    units,
+    units,
+    st.floats(1e-3, 0.2),
+    st.integers(1, 12),
+    st.floats(0.05, 0.95),
+)
+def test_shared_generators_change_no_bits(name, scheme, renorm, a, lam, ds, n, frac):
+    if name == "monopole":
+        g = la.preset("abelian1")
+        A = ca.ConnectionSampler.wu_yang_monopole(a[0])
+        lam0, v = la.DualVector(lam[:1]), (0.0, 1.0, 0.3)
+    else:
+        g = la.preset(name)
+        A = ca.ConnectionSampler.constant(la.LieVector(a))
+        lam0, v = la.DualVector(lam), (1.0,)
+    s_end = (n + frac) * ds  # ends on a shortened step
+    got = ca.integrate(g, lam0, A, v, ds, s_end, scheme, renorm)
+    assert len(got) == n + 2
+    for step_fn in (ca.step, reference_step):
+        want = hand_loop(step_fn, g, lam0, A, v, ds, s_end, scheme, renorm)
+        assert [(s.s, s.x, s.lam) for s in got] == [(s.s, s.x, s.lam) for s in want]
+
+
+@pytest.mark.parametrize("scheme, per_step", [("euler_paper", 1), ("rk4", 2)])
+def test_one_contraction_per_distinct_point(su2, scheme, per_step):
+    calls = []
+
+    def sample(x, mu):
+        calls.append(x)
+        return E3
+
+    A = ca.ConnectionSampler(3, sample)
+    states = ca.integrate(su2, LAM0, A, (1.0,), 0.01, 0.5, scheme)
+    steps = len(states) - 1
+    # RK4 contracts at the midpoint and the end point; the end point is the
+    # next step's start, so only the first step contracts at its start too.
+    assert len(calls) == per_step * steps + (scheme == "rk4")
+    assert len(set(calls)) == len(calls)

@@ -1,13 +1,18 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spencerflow import cli
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def run_cli(capsys, argv):
@@ -196,6 +201,115 @@ class TestCartan:
         rc, _, err = run_cli(capsys, ["cartan", "--config", str(cfg)])
         assert rc == 1
         assert "unknown keys" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ds", 0),
+            ("ds", -1e-3),
+            ("ds", math.nan),
+            ("ds", math.inf),
+            ("s_end", -1.0),
+            ("s_end", math.nan),
+            ("s_end", math.inf),
+            ("v", []),
+            ("v", [math.nan]),
+            ("v", [1.0, -math.inf]),
+        ],
+    )
+    def test_bad_step_or_direction_is_config_error(self, capsys, tmp_path, field, value):
+        cfg = self.write_config(tmp_path / "c.json", **{field: value})
+        rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"config error: {field} must be")
+
+
+BASE_CARTAN = {
+    "algebra": "su2",
+    "connection": {"preset": "constant", "params": {"a": [0.0, 0.0, 1.0]}},
+    "lambda0": [1.0, 0.0, 0.0],
+    "ds": 0.05,
+    "s_end": 0.5,
+    "scheme": "rk4",
+}
+BASE_MONOPOLE = {
+    "algebra": "abelian1",
+    "connection": {"preset": "wu_yang_monopole", "params": {"q": 0.5}},
+    "lambda0": [1.0],
+    "v": [0.0, 1.0, 0.3],
+    "ds": 0.05,
+    "s_end": 0.5,
+}
+NAN, INF = math.nan, math.inf
+# Each value is invalid for its field in both base documents.
+BAD_FIELDS = {
+    "algebra": ["x", "", 0, -1, NAN, None, [], "abelian0", "abelian-1"],
+    "lambda0": ["x", 0, -1.0, NAN, [], [NAN], [INF], [-INF], [None], ["x"], {}],
+    "ds": ["x", None, 0, -0.05, NAN, INF, -INF, [], {}],
+    "s_end": ["x", None, -0.5, NAN, INF, -INF, []],
+    "v": ["x", 0, -1.0, INF, [], [NAN], [INF], [None], {}],
+    "scheme": ["x", 0, -1, NAN, None, []],
+    "connection": [
+        "x", 0, NAN, [], {}, {"preset": "x"}, {"preset": 0},
+        {"preset": "constant", "params": {"a": [NAN, 0.0, 1.0]}},
+        {"preset": "constant", "params": {"a": "x"}},
+        {"preset": "constant", "params": {"a": [INF]}},
+        {"preset": "wu_yang_monopole", "params": {"q": NAN}},
+        {"preset": "wu_yang_monopole", "params": {"q": "x"}},
+        {"preset": "abelian_zero", "params": {"q": 1.0}},
+    ],
+}
+REQUIRED = ("algebra", "lambda0", "ds", "s_end")
+mutations = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(REQUIRED)),
+    st.sampled_from([(key, bad) for key, values in BAD_FIELDS.items() for bad in values]),
+)
+bad_cartan_docs = st.one_of(
+    st.sampled_from([[], "x", 0, -1.0, NAN, INF, None]),
+    st.tuples(
+        st.sampled_from([BASE_CARTAN, BASE_MONOPOLE]),
+        st.lists(mutations, min_size=1, max_size=3),
+    ).map(lambda base_muts: _mutate(*base_muts)),
+)
+
+
+def _mutate(base, muts):
+    doc = json.loads(json.dumps(base))
+    for key, value in muts:
+        if key == "drop":
+            doc.pop(value, None)
+        else:
+            doc[key] = value
+    return doc
+
+
+@given(bad_cartan_docs, st.sampled_from([[], ["--auto-ds"]]))
+def test_invalid_cartan_config_never_raises(tmp_path_factory, doc, extra):
+    path = tmp_path_factory.mktemp("cfg") / "c.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--json", "cartan", "--config", str(path), *extra]) in (1, 2)
+
+
+class TestModuleEntry:
+    @staticmethod
+    def run_module(*argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-m", "spencerflow", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_python_m_runs_the_cli(self):
+        proc = self.run_module("--json", "lie", "cohomology", "--algebra", "su2")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["dims"] == [1, 0, 0, 1]
+
+    def test_python_m_passes_the_exit_code(self, tmp_path):
+        proc = self.run_module("cartan", "--config", str(tmp_path / "absent.json"))
+        assert proc.returncode == 3
+        assert "io error" in proc.stderr
 
 
 class TestEuler:
