@@ -5,5 +5,5 @@ __version__ = "0.1.0"
 
 
 class CFLViolation(RuntimeError):
-    """Raised when a requested step size is at or above the stability bound
-    (cartan) or above the advective bound (euler2d)."""
+    """The numerical gate: a step at or above the stability bound (cartan) or
+    above the advective bound (euler2d), or a Cartan step that overflows."""

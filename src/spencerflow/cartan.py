@@ -176,7 +176,7 @@ def step(g, state, A, v, ds, scheme="euler_paper", renormalize=False, generators
         if norm1 > 0:
             lam_new = lam_new * (norm0 / norm1)
     if not np.all(np.isfinite(lam_new)):
-        raise RuntimeError("non-finite state after step")
+        raise CFLViolation(f"non-finite state after the step to s={state.s + ds}")
     return CharacteristicState(state.s + ds, x_end, DualVector(tuple(lam_new)))
 
 

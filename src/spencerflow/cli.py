@@ -68,10 +68,51 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
+def _finite(value, name):
+    """A config value as a finite float, or a ConfigError naming the field."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, not {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, not {value!r}")
+    return x
+
+
+def _finite_list(value, name):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a non-empty list of numbers, not {value!r}")
+    return tuple(_finite(x, name) for x in value)
+
+
+def _positive(value, name):
+    x = _finite(value, name)
+    if x <= 0:
+        raise ConfigError(f"{name} must be positive, not {value!r}")
+    return x
+
+
+def _whole(value, name, minimum):
+    """A config value as an int >= minimum, or a ConfigError naming the field."""
+    x = _finite(value, name)
+    if isinstance(value, bool) or x != int(x) or x < minimum:
+        raise ConfigError(f"{name} must be a whole number >= {minimum}, not {value!r}")
+    return int(x)
+
+
+def _objects(value, name, item, required, optional=()):
+    """value as a list of config objects, each with the given keys."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of {item} objects, not {value!r}")
+    return [_validate(v, item, required, optional) for v in value]
+
+
 # ---------------------------------------------------------------- euler
 
 
 def load_euler_config(doc):
+    """(grid, vortices as (x, y, alpha, sigma), curves, dt or "auto", t_end,
+    output_every) of an euler config document."""
     _validate(
         doc,
         "euler config",
@@ -79,30 +120,30 @@ def load_euler_config(doc):
         optional=("dt", "dealias", "curves", "output_every"),
     )
     gdoc = _validate(doc["grid"], "grid", required=("N",), optional=("L",))
-    grid = euler2d.GridSpec(int(gdoc["N"]), float(gdoc.get("L", 2 * math.pi)))
+    grid = euler2d.GridSpec(
+        _whole(gdoc["N"], "N", 16), _positive(gdoc.get("L", 2 * math.pi), "L")
+    )
     if doc.get("dealias", True) is not True:
         raise ConfigError("dealias:false is not supported; the solver always dealiases")
-    vortices = []
-    for v in doc["vortices"]:
-        _validate(v, "vortex", required=("x", "y", "alpha", "sigma"))
-        vortices.append(v)
-    curves = []
-    for i, c in enumerate(doc.get("curves", [])):
-        _validate(c, "curve", required=("cx", "cy", "radius"), optional=("M",))
-        curves.append(
-            euler2d.MarkerCurve.circle(
-                f"v{i}", c["cx"], c["cy"], c["radius"], int(c.get("M", 128))
-            )
+    vortices = [
+        (_finite(v["x"], "x"), _finite(v["y"], "y"), _finite(v["alpha"], "alpha"),
+         _positive(v["sigma"], "sigma"))
+        for v in _objects(doc["vortices"], "vortices", "vortex", ("x", "y", "alpha", "sigma"))
+    ]
+    curves = [
+        euler2d.MarkerCurve.circle(
+            f"v{i}", _finite(c["cx"], "cx"), _finite(c["cy"], "cy"),
+            _finite(c["radius"], "radius"), _whole(c.get("M", 128), "M", 8),
         )
+        for i, c in enumerate(
+            _objects(doc.get("curves", []), "curves", "curve", ("cx", "cy", "radius"), ("M",))
+        )
+    ]
     dt = doc.get("dt", "auto")
     if dt != "auto":
-        dt = float(dt)
-        if dt <= 0:
-            raise ConfigError("dt must be positive or 'auto'")
-    t_end = float(doc["t_end"])
-    if t_end < 0:
-        raise ConfigError("t_end must be non-negative")
-    output_every = int(doc.get("output_every", 25))
+        dt = _positive(dt, "dt")
+    t_end = _positive(doc["t_end"], "t_end")
+    output_every = _whole(doc.get("output_every", 25), "output_every", 1)
     return grid, vortices, curves, dt, t_end, output_every
 
 
@@ -110,33 +151,36 @@ def simulate(doc, snapshot_cb=None):
     """Run a vorticity-transport simulation from a config document.
 
     Returns (records, curves_final). snapshot_cb(step, t, zeta, curves), when
-    given, is invoked at every recorded snapshot.
+    given, is invoked at every recorded snapshot. Each vorticity state is
+    inverted and refined once: its PointVelocity feeds the record, the auto
+    dt and the marker advection.
     """
     grid, vortices, curves, dt_conf, t_end, output_every = load_euler_config(doc)
     zeta = euler2d.gaussian_vorticity(
         grid,
-        [(v["x"], v["y"]) for v in vortices],
-        [v["alpha"] for v in vortices],
-        [v["sigma"] for v in vortices],
+        [(x, y) for x, y, _, _ in vortices],
+        [alpha for _, _, alpha, _ in vortices],
+        [sigma for _, _, _, sigma in vortices],
     )
     t = 0.0
-    records = [invariants.phi_triple(zeta, curves, t=t)]
+    step = 0
+    pv = euler2d.point_velocity(euler2d.velocity_from_vorticity(zeta))
+    records = [invariants.phi_triple(zeta, pv, curves, t=t)]
     if snapshot_cb:
         snapshot_cb(0, t, zeta, curves)
-    step = 0
     while t < t_end * (1 - 1e-12):
-        u = euler2d.velocity_from_vorticity(zeta)
-        dt = u.cfl_dt() if dt_conf == "auto" else dt_conf
+        dt = pv.u.cfl_dt() if dt_conf == "auto" else dt_conf
         if not math.isfinite(dt):
             dt = t_end - t
         dt = min(dt, t_end - t)
-        curves = euler2d.advect_markers(curves, u, dt)
-        del u  # drops the 4N marker-interpolation grids before the RK4 stages
+        curves = euler2d.advect_markers(curves, pv, dt)
+        del pv  # drops the 4N marker-interpolation grids before the RK4 stages
         zeta = euler2d.rk4_step(zeta, dt)
         t += dt
         step += 1
+        pv = euler2d.point_velocity(euler2d.velocity_from_vorticity(zeta))
         if step % output_every == 0 or t >= t_end * (1 - 1e-12):
-            records.append(invariants.phi_triple(zeta, curves, t=t))
+            records.append(invariants.phi_triple(zeta, pv, curves, t=t))
             if snapshot_cb:
                 snapshot_cb(step, t, zeta, curves)
     return records, curves
@@ -188,7 +232,7 @@ def cmd_euler(args):
         doc = json.loads(
             resources.files("spencerflow.presets").joinpath(name).read_text()
         )
-        if args.N:
+        if args.N is not None:
             doc["grid"]["N"] = args.N
         if args.t_end is not None:
             doc["t_end"] = args.t_end
@@ -212,23 +256,6 @@ def cmd_euler(args):
 
 
 # ---------------------------------------------------------------- cartan
-
-
-def _finite(value, name):
-    """A config value as a finite float, or a ConfigError naming the field."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, not {value!r}") from None
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be finite, not {value!r}")
-    return x
-
-
-def _finite_list(value, name):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{name} must be a non-empty list of numbers, not {value!r}")
-    return tuple(_finite(x, name) for x in value)
 
 
 def load_cartan_config(doc):
@@ -262,16 +289,17 @@ def load_cartan_config(doc):
     if len(lam0.coeffs) != g.dim:
         raise ConfigError("lambda0 length does not match the algebra dimension")
     v = _finite_list(doc.get("v", [1.0]), "v")
-    ds = _finite(doc["ds"], "ds")
-    if ds <= 0:
-        raise ConfigError(f"ds must be positive, not {ds!r}")
+    ds = _positive(doc["ds"], "ds")
     s_end = _finite(doc["s_end"], "s_end")
     if s_end < 0:
         raise ConfigError(f"s_end must be non-negative, not {s_end!r}")
     scheme = doc.get("scheme", "euler_paper")
     if scheme not in ("euler_paper", "rk4"):
         raise ConfigError(f"unknown scheme {scheme!r}")
-    return g, A, lam0, v, ds, s_end, scheme, bool(doc.get("renormalize", False))
+    renormalize = doc.get("renormalize", False)
+    if not isinstance(renormalize, bool):
+        raise ConfigError(f"renormalize must be true or false, not {renormalize!r}")
+    return g, A, lam0, v, ds, s_end, scheme, renormalize
 
 
 def cmd_cartan(args):

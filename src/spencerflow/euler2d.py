@@ -8,7 +8,7 @@ Quadratic terms are dealiased with the 2/3 rule.
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class VelocityField:
     grid: GridSpec
     u_x: np.ndarray
     u_y: np.ndarray
-    _refined: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u_x", np.asarray(self.u_x, dtype=np.float64))
@@ -102,9 +101,6 @@ class MarkerCurve:
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 8:
             raise ValueError("a marker curve needs at least 8 (x, y) points")
         object.__setattr__(self, "points", pts)
-
-    def wrapped(self, L):
-        return MarkerCurve(self.label, np.mod(self.points, L))
 
     @staticmethod
     def circle(label, cx, cy, radius, M=128):
@@ -133,8 +129,10 @@ def _dealias_mask(grid):
 
 
 def tendency(grid, zhat):
-    """The values of rhs_vorticity for the vorticity spectrum zhat: the RK4
-    stage kernel, which takes the spectrum so a stage can share its fft2."""
+    """-(u . grad) zeta of the vorticity spectrum zhat with 2/3-rule dealiasing;
+    the mean mode is pinned to zero exactly (the nonlinear term is a flux
+    divergence). The RK4 stage kernel: it takes the spectrum so a stage can
+    share its fft2."""
     kx, ky, _, mask = _spectral_ops(grid)
     zhat = zhat * mask
     u = _velocity(grid, zhat)
@@ -143,17 +141,6 @@ def tendency(grid, zhat):
     out_hat = np.fft.fft2(-(u.u_x * zx + u.u_y * zy)) * mask
     out_hat[0, 0] = 0.0
     return np.real(np.fft.ifft2(out_hat))
-
-
-def rhs_vorticity(zeta):
-    """-(u . grad) zeta with 2/3-rule dealiasing; the mean mode is pinned to
-    zero exactly (the nonlinear term is a flux divergence)."""
-    return VorticityField(zeta.grid, tendency(zeta.grid, zeta.spectrum()))
-
-
-def cfl_dt(zeta):
-    """Advective step bound of zeta's velocity (VelocityField.cfl_dt)."""
-    return velocity_from_vorticity(zeta).cfl_dt()
 
 
 def rk4_step(zeta, dt):
@@ -196,13 +183,20 @@ def gaussian_vorticity(grid, centers, alphas, sigmas):
 REFINE = 4  # spectral zero-padding factor for marker interpolation
 
 
-def _refined_velocity(u):
-    key = "grids"
-    if key not in u._refined:
-        u._refined[key] = tuple(
-            _spectral_refine(comp, REFINE) for comp in (u.u_x, u.u_y)
-        )
-    return u._refined[key]
+@dataclass(frozen=True)
+class PointVelocity:
+    """A velocity field with its components refined to the REFINE*N grid that
+    marker interpolation reads."""
+
+    u: VelocityField
+    fine_x: np.ndarray
+    fine_y: np.ndarray
+
+
+def point_velocity(u):
+    """u and its REFINE*N refinement, made once and shared by every marker
+    and circulation evaluation of the same state."""
+    return PointVelocity(u, _spectral_refine(u.u_x, REFINE), _spectral_refine(u.u_y, REFINE))
 
 
 def _spectral_refine(values, factor):
@@ -227,9 +221,9 @@ def _spectral_refine(values, factor):
     return np.real(np.fft.ifft2(np.fft.ifftshift(big))) * factor**2
 
 
-def interpolate_velocity(u, p):
-    """Velocity at arbitrary points: zero-padded spectral refinement to a
-    4N grid, then bilinear interpolation with periodic wrapping.
+def interpolate_velocity(pv, p):
+    """Velocity at arbitrary points: bilinear interpolation with periodic
+    wrapping on the refined grids of the PointVelocity pv.
 
     Accepts a single (x, y) point or an (M, 2) array; the output shape matches.
     """
@@ -238,10 +232,10 @@ def interpolate_velocity(u, p):
     pts = np.atleast_2d(pts)
     if not np.all(np.isfinite(pts)):
         raise ValueError("non-finite evaluation point")
-    fine_x, fine_y = _refined_velocity(u)
+    fine_x, fine_y = pv.fine_x, pv.fine_y
     M = fine_x.shape[0]
-    h = u.grid.L / M
-    f = np.mod(pts, u.grid.L) / h
+    h = pv.u.grid.L / M
+    f = np.mod(pts, pv.u.grid.L) / h
     base = np.floor(f).astype(int)
     t = f - base
     i0 = base[:, 0] % M
@@ -261,16 +255,16 @@ def interpolate_velocity(u, p):
     return out[0] if single else out
 
 
-def advect_markers(curves, u, dt):
-    """RK4 advection of every marker through the (frozen) velocity field."""
-    L = u.grid.L
+def advect_markers(curves, pv, dt):
+    """RK4 advection of every marker through the (frozen) PointVelocity pv."""
+    L = pv.u.grid.L
     out = []
     for curve in curves:
         p = curve.points
-        k1 = interpolate_velocity(u, p)
-        k2 = interpolate_velocity(u, p + dt / 2 * k1)
-        k3 = interpolate_velocity(u, p + dt / 2 * k2)
-        k4 = interpolate_velocity(u, p + dt * k3)
+        k1 = interpolate_velocity(pv, p)
+        k2 = interpolate_velocity(pv, p + dt / 2 * k1)
+        k3 = interpolate_velocity(pv, p + dt / 2 * k2)
+        k4 = interpolate_velocity(pv, p + dt * k3)
         new_pts = np.mod(p + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), L)
         out.append(MarkerCurve(curve.label, new_pts))
     return out

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler2d import interpolate_velocity, velocity_from_vorticity
+from .euler2d import interpolate_velocity
 
 EPS_DENOM = 1e-30  # guard for relative errors of near-zero invariants
 
@@ -44,16 +44,16 @@ def enstrophy(zeta):
     return float(np.sum(zeta.values**2)) * zeta.grid.dx**2
 
 
-def circulation(curve, u):
+def circulation(curve, pv):
     """Gamma = sum_m u(x_m) . (x_{m+1} - x_{m-1}) / 2, the periodic trapezoid
-    rule with minimal-image differences."""
+    rule with minimal-image differences; u is read from the PointVelocity pv."""
     pts = curve.points
     if pts.shape[0] < 8:
         raise ValueError("a marker curve needs at least 8 points")
-    L = u.grid.L
+    L = pv.u.grid.L
     diffs = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
     diffs -= L * np.round(diffs / L)
-    vel = interpolate_velocity(u, pts)
+    vel = interpolate_velocity(pv, pts)
     return float(np.sum(vel * diffs)) / 2.0
 
 
@@ -69,15 +69,15 @@ def divergence_residual(u):
     return float(np.max(div)) / scale
 
 
-def phi_triple(zeta, curves, t=0.0):
-    """The (I0, I1 per curve, I2, div_max) bundle at one snapshot."""
-    u = velocity_from_vorticity(zeta)
+def phi_triple(zeta, pv, curves, t=0.0):
+    """The (I0, I1 per curve, I2, div_max) bundle at one snapshot; pv is the
+    PointVelocity of zeta."""
     return InvariantRecord(
         t=t,
         I0=total_vorticity(zeta),
-        I1=tuple(circulation(c, u) for c in curves),
+        I1=tuple(circulation(c, pv) for c in curves),
         I2=enstrophy(zeta),
-        div_max=divergence_residual(u),
+        div_max=divergence_residual(pv.u),
     )
 
 

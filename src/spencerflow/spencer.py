@@ -68,11 +68,6 @@ class SymTensor:
     def zero(dim, degree):
         return SymTensor(dim, degree, {})
 
-    @staticmethod
-    def from_lie_vector(v):
-        dim = len(v.coeffs)
-        return SymTensor(dim, 1, {(i,): c for i, c in enumerate(v.coeffs) if c != 0})
-
 
 def sym_space_dim(dim, degree):
     """dim Sym^k(g) = C(dim + k - 1, k)."""

@@ -174,7 +174,7 @@ def test_criterion_09_solver_properties():
     zeta = eu.VorticityField(grid, np.cos(X))
 
     z = zeta
-    dt = 0.4 * eu.cfl_dt(zeta)
+    dt = 0.4 * eu.velocity_from_vorticity(zeta).cfl_dt()
     for _ in range(1000):
         z = eu.rk4_step(z, dt)
     steady = float(np.max(np.abs(z.values - zeta.values)))

@@ -10,6 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spencerflow import cli
+from spencerflow import euler2d as eu
+from spencerflow import invariants as inv
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -224,6 +226,30 @@ class TestCartan:
         assert out == ""
         assert err.startswith(f"config error: {field} must be")
 
+    def test_renormalize_must_be_boolean(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path / "c.json", renormalize="false")
+        rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("config error: renormalize must be true or false")
+
+    def test_overflow_is_gate_exit(self, capsys, tmp_path):
+        # lambda grows as e^(2s) on sl2 and leaves float64 near s = 389
+        cfg = self.write_config(
+            tmp_path / "c.json",
+            algebra="sl2",
+            connection={"preset": "constant", "params": {"a": [1.0, 0.0, 0.0]}},
+            lambda0=[1.0, 1.0, 1.0],
+            ds=0.1,
+            s_end=400.0,
+            scheme="euler_paper",
+        )
+        with np.errstate(over="ignore"):
+            rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("numerical gate: non-finite state after the step to s=389.")
+
 
 BASE_CARTAN = {
     "algebra": "su2",
@@ -250,6 +276,7 @@ BAD_FIELDS = {
     "s_end": ["x", None, -0.5, NAN, INF, -INF, []],
     "v": ["x", 0, -1.0, INF, [], [NAN], [INF], [None], {}],
     "scheme": ["x", 0, -1, NAN, None, []],
+    "renormalize": ["false", "true", 0, 1, "x", NAN, None, [], {}],
     "connection": [
         "x", 0, NAN, [], {}, {"preset": "x"}, {"preset": 0},
         {"preset": "constant", "params": {"a": [NAN, 0.0, 1.0]}},
@@ -389,6 +416,35 @@ class TestEuler:
         rc, _, _ = run_cli(capsys, ["euler", "run", "--config", str(cfg)])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "field, override",
+        [
+            ("N", {"grid": {"N": None}}),
+            ("M", {"curves": [{"cx": 3.0, "cy": 3.0, "radius": 1.0, "M": None}]}),
+            ("output_every", {"output_every": 0}),
+            ("output_every", {"output_every": True}),
+            ("N", {"grid": {"N": 32.5}}),
+            ("sigma", {"vortices": [{"x": 3.0, "y": 3.0, "alpha": 1.0, "sigma": "x"}]}),
+            ("t_end", {"t_end": math.inf}),
+            ("t_end", {"t_end": math.nan}),
+            ("dt", {"dt": math.nan}),
+        ],
+    )
+    def test_bad_value_is_config_error(self, capsys, tmp_path, field, override):
+        cfg = self.write_config(tmp_path / "c.json", **override)
+        rc, out, err = run_cli(capsys, ["--json", "euler", "run", "--config", str(cfg)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"config error: {field} must be")
+
+    def test_preset_grid_size_zero_is_config_error(self, capsys):
+        rc, out, err = run_cli(
+            capsys, ["--json", "euler", "gaussian", "--N", "0", "--t-end", "0.01"]
+        )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("config error: N must be")
+
     def test_gaussian_preset_short(self, capsys):
         rc, out, _ = run_cli(
             capsys,
@@ -398,6 +454,145 @@ class TestEuler:
         rep = {k: float(v) for k, v in json.loads(out).items()}
         assert rep["I0"] <= 1e-12
         assert rep["I2"] <= 1e-6
+
+
+SHARING_DOC = {
+    "grid": {"N": 32},
+    "t_end": 0.6,
+    "vortices": [
+        {"x": 3.0, "y": 3.2, "alpha": 3.0, "sigma": 0.6},
+        {"x": 4.2, "y": 2.5, "alpha": -2.0, "sigma": 0.5},
+    ],
+    "curves": [
+        {"cx": 3.0, "cy": 3.2, "radius": 0.8, "M": 32},
+        {"cx": 4.2, "cy": 2.5, "radius": 0.5, "M": 16},
+    ],
+}
+
+
+def simulate_with_a_velocity_per_use(doc):
+    """The simulate loop in which the record inverts and refines its state
+    again, apart from the inversion that gives dt and the markers."""
+    grid, vortices, curves, dt_conf, t_end, output_every = cli.load_euler_config(doc)
+    zeta = eu.gaussian_vorticity(
+        grid,
+        [(x, y) for x, y, _, _ in vortices],
+        [alpha for _, _, alpha, _ in vortices],
+        [sigma for _, _, _, sigma in vortices],
+    )
+
+    def record(zeta, curves, t):
+        pv = eu.point_velocity(eu.velocity_from_vorticity(zeta))
+        return inv.phi_triple(zeta, pv, curves, t=t)
+
+    t = 0.0
+    records = [record(zeta, curves, t)]
+    step = 0
+    while t < t_end * (1 - 1e-12):
+        u = eu.velocity_from_vorticity(zeta)
+        dt = u.cfl_dt() if dt_conf == "auto" else dt_conf
+        if not math.isfinite(dt):
+            dt = t_end - t
+        dt = min(dt, t_end - t)
+        curves = eu.advect_markers(curves, eu.point_velocity(u), dt)
+        zeta = eu.rk4_step(zeta, dt)
+        t += dt
+        step += 1
+        if step % output_every == 0 or t >= t_end * (1 - 1e-12):
+            records.append(record(zeta, curves, t))
+    return records, curves
+
+
+class TestSimulateSharesOneVelocityPerState:
+    def test_one_inversion_and_one_refinement_per_state(self, monkeypatch):
+        calls = {"invert": 0, "refine": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(eu, "velocity_from_vorticity",
+                            counted("invert", eu.velocity_from_vorticity))
+        monkeypatch.setattr(eu, "_spectral_refine", counted("refine", eu._spectral_refine))
+        records, _ = cli.simulate(dict(SHARING_DOC, output_every=1))
+        steps = len(records) - 1
+        assert steps >= 3
+        assert calls["invert"] == steps + 1
+        assert calls["refine"] == 2 * (steps + 1)  # u_x and u_y of each state
+
+    @pytest.mark.parametrize("output_every", [1, 3])
+    def test_records_and_markers_are_bit_identical(self, output_every):
+        doc = dict(SHARING_DOC, output_every=output_every)
+        records, curves = cli.simulate(doc)
+        old_records, old_curves = simulate_with_a_velocity_per_use(doc)
+        assert len(records) > 2
+        assert records == old_records
+        assert [c.label for c in curves] == [c.label for c in old_curves]
+        for new, old in zip(curves, old_curves):
+            assert np.array_equal(new.points, old.points)
+
+
+BASE_EULER = {
+    "grid": {"N": 32},
+    "dt": "auto",
+    "t_end": 0.05,
+    "vortices": [{"x": 3.0, "y": 3.0, "alpha": 2.0, "sigma": 0.7}],
+    "curves": [{"cx": 3.0, "cy": 3.0, "radius": 1.0, "M": 16}],
+    "output_every": 2,
+}
+VORTEX = BASE_EULER["vortices"][0]
+CURVE = BASE_EULER["curves"][0]
+NOT_NUMBERS = ["x", None, NAN, INF, -INF, [], {}]
+# Each value is invalid for its field.
+BAD_EULER = {
+    "grid": [
+        "x", 0, None, [], {}, {"N": 32, "typo": 1},
+        *({"N": n} for n in NOT_NUMBERS + [0, -32, 8, 48, 32.5, True]),
+        *({"N": 32, "L": L} for L in NOT_NUMBERS + [0, -1.0]),
+    ],
+    "t_end": NOT_NUMBERS + [0, -0.05],
+    "dt": NOT_NUMBERS + ["Auto", 0, -0.01],
+    "output_every": NOT_NUMBERS + [0, -1, 1.5, True, False],
+    "dealias": [False, 0, "x", None],
+    "vortices": [
+        "x", 0, None, {}, [0], ["x"], [None], [[]], [{"x": 3.0}], [dict(VORTEX, typo=1)],
+        *([dict(VORTEX, **{key: bad})] for key in VORTEX for bad in NOT_NUMBERS),
+        [dict(VORTEX, sigma=0)], [dict(VORTEX, sigma=-0.7)],
+    ],
+    "curves": [
+        "x", 0, None, {}, [0], [None], [[]], [{"cx": 3.0}], [dict(CURVE, typo=1)],
+        *([dict(CURVE, **{key: bad})] for key in CURVE for bad in NOT_NUMBERS),
+        *([dict(CURVE, M=M)] for M in [0, 7, -16, 16.5, True]),
+    ],
+    "typo": [1],
+}
+REQUIRED_EULER = ("grid", "t_end", "vortices")
+bad_euler_docs = st.one_of(
+    st.sampled_from([[], "x", 0, -1.0, NAN, INF, None, {}]),
+    st.tuples(
+        st.just(BASE_EULER),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("drop"), st.sampled_from(REQUIRED_EULER)),
+                st.sampled_from(
+                    [(key, bad) for key, values in BAD_EULER.items() for bad in values]
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    ).map(lambda base_muts: _mutate(*base_muts)),
+)
+
+
+@given(bad_euler_docs)
+def test_invalid_euler_config_never_raises(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("cfg") / "e.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--json", "euler", "run", "--config", str(path)]) in (1, 2)
 
 
 class TestReport:

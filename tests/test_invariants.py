@@ -39,21 +39,21 @@ class TestScalars:
 
 class TestCirculation:
     def test_reverse_curve_negates(self, gaussian):
-        u = eu.velocity_from_vorticity(gaussian)
+        pv = eu.point_velocity(eu.velocity_from_vorticity(gaussian))
         c = eu.MarkerCurve.circle("c", math.pi, math.pi, 1.0, M=128)
         rev = eu.MarkerCurve("rev", c.points[::-1])
-        a = inv.circulation(c, u)
-        b = inv.circulation(rev, u)
+        a = inv.circulation(c, pv)
+        b = inv.circulation(rev, pv)
         assert abs(a + b) <= 1e-13 * max(1.0, abs(a))
 
     def test_gaussian_disc_oracle(self, grid, gaussian):
         # Stokes on the torus sees the mean-free vorticity: the enclosed
         # quantity is the disc integral of zeta - mean(zeta), done here by
         # midpoint quadrature in polar coordinates.
-        u = eu.velocity_from_vorticity(gaussian)
+        pv = eu.point_velocity(eu.velocity_from_vorticity(gaussian))
         R = 1.2
         c = eu.MarkerCurve.circle("c", math.pi, math.pi, R, M=256)
-        gamma = inv.circulation(c, u)
+        gamma = inv.circulation(c, pv)
         mean = inv.total_vorticity(gaussian) / grid.L**2
         nr, nt = 400, 400
         r = (np.arange(nr) + 0.5) * R / nr
@@ -66,15 +66,15 @@ class TestCirculation:
 
     def test_still_field_zero(self, grid):
         zeta = eu.VorticityField(grid, np.zeros((128, 128)))
-        u = eu.velocity_from_vorticity(zeta)
+        pv = eu.point_velocity(eu.velocity_from_vorticity(zeta))
         c = eu.MarkerCurve.circle("c", 2.0, 2.0, 1.0, M=64)
-        assert inv.circulation(c, u) == 0.0
+        assert inv.circulation(c, pv) == 0.0
 
     def test_too_few_points(self, gaussian):
-        u = eu.velocity_from_vorticity(gaussian)
+        pv = eu.point_velocity(eu.velocity_from_vorticity(gaussian))
         bad = eu.MarkerCurve.circle("c", 2.0, 2.0, 1.0, M=8)
         pts = bad.points[:8]
-        assert inv.circulation(eu.MarkerCurve("c", pts), u) is not None
+        assert inv.circulation(eu.MarkerCurve("c", pts), pv) is not None
         with pytest.raises(ValueError):
             eu.MarkerCurve("c", pts[:4])
 
@@ -99,7 +99,8 @@ class TestPhiTriple:
     def test_zero_state(self, grid):
         zeta = eu.VorticityField(grid, np.zeros((128, 128)))
         c = eu.MarkerCurve.circle("c", 2.0, 2.0, 1.0, M=32)
-        rec = inv.phi_triple(zeta, [c], t=1.5)
+        pv = eu.point_velocity(eu.velocity_from_vorticity(zeta))
+        rec = inv.phi_triple(zeta, pv, [c], t=1.5)
         assert rec.t == 1.5
         assert rec.I0 == 0.0
         assert rec.I1 == (0.0,)
@@ -109,7 +110,8 @@ class TestPhiTriple:
     def test_single_mode_shear(self, grid):
         X, _ = grid.coords()
         zeta = eu.VorticityField(grid, np.cos(X))
-        rec = inv.phi_triple(zeta, [])
+        pv = eu.point_velocity(eu.velocity_from_vorticity(zeta))
+        rec = inv.phi_triple(zeta, pv, [])
         assert rec.I0 == pytest.approx(0.0, abs=1e-12)
         assert rec.I2 == pytest.approx(2 * math.pi**2, rel=1e-12)
 
