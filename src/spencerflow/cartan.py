@@ -207,18 +207,20 @@ def coadjoint_flow_exact(g, a, lam0, s):
 
 def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
     """Integrate a characteristic from s=0 to s_end; returns the list of states
-    (the final step is shortened to land on s_end exactly)."""
+    (the final step is shortened to land on s_end exactly). Overflow is not
+    reported by numpy here: step's finiteness check raises the gate."""
     generators = PointGenerators(g, A, v)
     state = CharacteristicState(0.0, (0.0,) * len(v), lam0)
     states = [state]
     n_full = int(s_end / ds)
-    for _ in range(n_full):
-        state = step(g, state, A, v, ds, scheme, renormalize, generators)
-        states.append(state)
-    rem = s_end - n_full * ds
-    if rem > 1e-15 * max(1.0, abs(s_end)):
-        state = step(g, state, A, v, rem, scheme, renormalize, generators)
-        states.append(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_full):
+            state = step(g, state, A, v, ds, scheme, renormalize, generators)
+            states.append(state)
+        rem = s_end - n_full * ds
+        if rem > 1e-15 * max(1.0, abs(s_end)):
+            state = step(g, state, A, v, rem, scheme, renormalize, generators)
+            states.append(state)
     return states
 
 

@@ -151,9 +151,10 @@ def simulate(doc, snapshot_cb=None):
     """Run a vorticity-transport simulation from a config document.
 
     Returns (records, curves_final). snapshot_cb(step, t, zeta, curves), when
-    given, is invoked at every recorded snapshot. Each vorticity state is
-    inverted and refined once: its PointVelocity feeds the record, the auto
-    dt and the marker advection.
+    given, is invoked at every recorded snapshot. Each vorticity state gets
+    one stage evaluation, with the markers stacked into one point array: it
+    feeds the state's record, the auto dt and its CFL gate, and k1 of the RK4
+    step that moves the vorticity and the markers together.
     """
     grid, vortices, curves, dt_conf, t_end, output_every = load_euler_config(doc)
     zeta = euler2d.gaussian_vorticity(
@@ -162,25 +163,28 @@ def simulate(doc, snapshot_cb=None):
         [alpha for _, _, alpha, _ in vortices],
         [sigma for _, _, _, sigma in vortices],
     )
+    ends = np.cumsum([len(c.points) for c in curves])[:-1]
+    points = np.concatenate([c.points for c in curves] or [euler2d.NO_POINTS])
     t = 0.0
     step = 0
-    pv = euler2d.point_velocity(euler2d.velocity_from_vorticity(zeta))
-    records = [invariants.phi_triple(zeta, pv, curves, t=t)]
+    first = euler2d.stage(grid, zeta.spectrum(), points)  # (tendency, u, marker u)
+    records = [invariants.phi_triple(zeta, *first[1:], curves, t=t)]
     if snapshot_cb:
         snapshot_cb(0, t, zeta, curves)
     while t < t_end * (1 - 1e-12):
-        dt = pv.u.cfl_dt() if dt_conf == "auto" else dt_conf
+        dt = first[1].cfl_dt() if dt_conf == "auto" else dt_conf
         if not math.isfinite(dt):
             dt = t_end - t
         dt = min(dt, t_end - t)
-        curves = euler2d.advect_markers(curves, pv, dt)
-        del pv  # drops the 4N marker-interpolation grids before the RK4 stages
-        zeta = euler2d.rk4_step(zeta, dt)
+        zeta, points = euler2d.rk4_step(zeta, dt, points, first)
         t += dt
         step += 1
-        pv = euler2d.point_velocity(euler2d.velocity_from_vorticity(zeta))
+        curves = [
+            euler2d.MarkerCurve(c.label, p) for c, p in zip(curves, np.split(points, ends))
+        ]
+        first = euler2d.stage(grid, zeta.spectrum(), points)
         if step % output_every == 0 or t >= t_end * (1 - 1e-12):
-            records.append(invariants.phi_triple(zeta, pv, curves, t=t))
+            records.append(invariants.phi_triple(zeta, *first[1:], curves, t=t))
             if snapshot_cb:
                 snapshot_cb(step, t, zeta, curves)
     return records, curves

@@ -2,7 +2,8 @@
 
 Conventions (fixed once, validated by the single-mode oracle in the tests):
 zeta = d(u_y)/dx - d(u_x)/dy, u = (dpsi/dy, -dpsi/dx), zeta = -Laplacian(psi).
-Quadratic terms are dealiased with the 2/3 rule.
+Spectra live on the rfft2 half-plane. Quadratic terms are dealiased with the
+2/3 rule, and every velocity is the velocity of the dealiased vorticity.
 """
 
 import functools
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import CFLViolation
+
+BLOCK = 2048  # marker points per block of the direct Fourier sum in point_values
 
 
 @dataclass(frozen=True)
@@ -41,13 +44,17 @@ class GridSpec:
 
 @functools.cache
 def _spectral_ops(grid):
-    """(kx, ky, k^2, 2/3-rule dealias mask) of a grid, built once per distinct
-    grid and returned read-only because every caller shares them."""
-    k = 2.0 * math.pi * np.fft.fftfreq(grid.N, d=grid.dx)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
+    """(kx (N, 1), ky (1, N/2+1), 1/k^2 with 0 at k=0, 2/3-rule dealias mask)
+    of a grid on the rfft2 half-plane, built once per distinct grid and
+    returned read-only because every caller shares them. The mask also zeroes
+    the Nyquist row and column."""
+    kx = 2.0 * math.pi * np.fft.fftfreq(grid.N, d=grid.dx)[:, None]
+    ky = 2.0 * math.pi * np.fft.rfftfreq(grid.N, d=grid.dx)[None, :]
+    k2 = kx**2 + ky**2
+    inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
     keep = np.abs(np.fft.fftfreq(grid.N, d=1.0 / grid.N)) <= grid.N / 3.0
-    mx, my = np.meshgrid(keep, keep, indexing="ij")
-    ops = (kx, ky, kx**2 + ky**2, mx & my)
+    mask = keep[:, None] & keep[None, : grid.N // 2 + 1]
+    ops = (kx, ky, inv_k2, mask)
     for arr in ops:
         arr.flags.writeable = False
     return ops
@@ -67,7 +74,7 @@ class VorticityField:
         object.__setattr__(self, "values", vals)
 
     def spectrum(self):
-        return np.fft.fft2(self.values)
+        return np.fft.rfft2(self.values)
 
 
 @dataclass(frozen=True)
@@ -110,55 +117,85 @@ class MarkerCurve:
 
 
 def _velocity(grid, zhat):
-    """The velocity of the vorticity spectrum zhat."""
-    kx, ky, k2, _ = _spectral_ops(grid)
-    psi_hat = np.where(k2 > 0, zhat / np.where(k2 > 0, k2, 1.0), 0.0)
-    ux = np.real(np.fft.ifft2(1j * ky * psi_hat))
-    uy = np.real(np.fft.ifft2(-1j * kx * psi_hat))
-    return VelocityField(grid, ux, uy)
+    """The one psi inversion: the (u_x, u_y) spectra of the vorticity
+    spectrum zhat and the velocity on the grid. The k=0 mode of psi is zero
+    (a constant vorticity offset produces no velocity)."""
+    kx, ky, inv_k2, _ = _spectral_ops(grid)
+    psi_hat = zhat * inv_k2
+    uhat = (1j * ky * psi_hat, -1j * kx * psi_hat)
+    return uhat, VelocityField(grid, np.fft.irfft2(uhat[0]), np.fft.irfft2(uhat[1]))
 
 
 def velocity_from_vorticity(zeta):
-    """Invert zeta -> psi -> u spectrally; the k=0 mode of psi is set to zero
-    (a constant vorticity offset produces no velocity)."""
-    return _velocity(zeta.grid, zeta.spectrum())
+    """The velocity of the dealiased zeta on the grid."""
+    g = zeta.grid
+    return _velocity(g, zeta.spectrum() * _spectral_ops(g)[3])[1]
 
 
-def _dealias_mask(grid):
-    return _spectral_ops(grid)[3]
+def point_values(grid, fhat, points):
+    """Values at the (P, 2) points of the real fields whose rfft2 spectra are
+    listed in fhat, as a (P, len(fhat)) array: the direct Fourier sum over the
+    2/3 band, exact up to rounding for fields inside it. Each block of BLOCK
+    points costs two complex matmuls, exp(i kx x) @ coefficients, then the
+    product with exp(i ky y) summed over ky: O(P N^2) work in all."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("non-finite evaluation point")
+    mask = _spectral_ops(grid)[3]
+    rows, cols = mask[:, 0], mask[0]
+    n = int(np.sum(cols))  # ky = 0 .. n-1; kx = 0 .. n-1, then -(n-1) .. -1
+    # each ky > 0 column also stands for its conjugate mirror
+    weight = np.where(np.arange(n) > 0, 2.0, 1.0) / grid.N**2
+    coef = np.concatenate([f[np.ix_(rows, cols)] * weight for f in fhat], axis=1)
+    out = np.empty((len(pts), len(fhat)))
+    for s in range(0, len(pts), BLOCK):
+        theta = np.mod(pts[s : s + BLOCK], grid.L) * (2.0 * math.pi / grid.L)
+        e = np.repeat(np.exp(1j * theta)[:, :, None], n, axis=2)
+        e[:, :, 0] = 1.0
+        ex, ey = np.moveaxis(np.cumprod(e, axis=2), 1, 0)  # exp(i m x), exp(i m y)
+        a = np.concatenate([ex, np.conj(ex[:, :0:-1])], axis=1) @ coef
+        out[s : s + BLOCK] = np.real(a.reshape(len(a), len(fhat), n) @ ey[:, :, None])[:, :, 0]
+    return out
 
 
-def tendency(grid, zhat):
-    """-(u . grad) zeta of the vorticity spectrum zhat with 2/3-rule dealiasing;
-    the mean mode is pinned to zero exactly (the nonlinear term is a flux
-    divergence). The RK4 stage kernel: it takes the spectrum so a stage can
-    share its fft2."""
+def stage(grid, zhat, points):
+    """The RK4 stage kernel. For the vorticity spectrum zhat (rfft2
+    half-plane) and the (P, 2) marker points, from one psi inversion of the
+    dealiased field: the tendency spectrum of -(u . grad) zeta, dealiased and
+    with its mean mode pinned to zero (the nonlinear term is a flux
+    divergence); the velocity on the grid; the (P, 2) velocity at the points."""
     kx, ky, _, mask = _spectral_ops(grid)
     zhat = zhat * mask
-    u = _velocity(grid, zhat)
-    zx = np.real(np.fft.ifft2(1j * kx * zhat))
-    zy = np.real(np.fft.ifft2(1j * ky * zhat))
-    out_hat = np.fft.fft2(-(u.u_x * zx + u.u_y * zy)) * mask
-    out_hat[0, 0] = 0.0
-    return np.real(np.fft.ifft2(out_hat))
+    uhat, u = _velocity(grid, zhat)
+    zx = np.fft.irfft2(1j * kx * zhat)
+    zy = np.fft.irfft2(1j * ky * zhat)
+    out = np.fft.rfft2(-(u.u_x * zx + u.u_y * zy)) * mask
+    out[0, 0] = 0.0
+    return out, u, point_values(grid, uhat, points)
 
 
-def rk4_step(zeta, dt):
-    """Classical 4-stage step of the vorticity transport equation; raises
-    CFLViolation when dt exceeds the advective bound of zeta."""
+NO_POINTS = np.empty((0, 2))
+NO_POINTS.flags.writeable = False
+
+
+def rk4_step(zeta, dt, points=NO_POINTS, first=None):
+    """Classical 4-stage step of the vorticity transport equation and of the
+    (P, 2) marker points it carries, both through the same stage velocities.
+    first is stage(grid, zeta.spectrum(), points) when the caller has it.
+    Raises CFLViolation when dt exceeds the advective bound of zeta; returns
+    (zeta, points), the points wrapped into the fundamental domain."""
     if dt == 0.0:
-        return zeta
+        return zeta, points
     g = zeta.grid
-    z = zeta.values
     zhat = zeta.spectrum()
-    bound = _velocity(g, zhat).cfl_dt()
-    if dt > bound:
-        raise CFLViolation(f"dt={dt} exceeds the advective bound {bound}")
-    k1 = tendency(g, zhat)
-    k2 = tendency(g, np.fft.fft2(z + dt / 2 * k1))
-    k3 = tendency(g, np.fft.fft2(z + dt / 2 * k2))
-    k4 = tendency(g, np.fft.fft2(z + dt * k3))
-    return VorticityField(g, z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    k1, u, p1 = stage(g, zhat, points) if first is None else first
+    if dt > u.cfl_dt():
+        raise CFLViolation(f"dt={dt} exceeds the advective bound {u.cfl_dt()}")
+    k2, _, p2 = stage(g, zhat + dt / 2 * k1, points + dt / 2 * p1)
+    k3, _, p3 = stage(g, zhat + dt / 2 * k2, points + dt / 2 * p2)
+    k4, _, p4 = stage(g, zhat + dt * k3, points + dt * p3)
+    zeta = VorticityField(g, np.fft.irfft2(zhat + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)))
+    return zeta, np.mod(points + dt / 6 * (p1 + 2 * p2 + 2 * p3 + p4), g.L)
 
 
 def gaussian_vorticity(grid, centers, alphas, sigmas):
@@ -178,96 +215,6 @@ def gaussian_vorticity(grid, centers, alphas, sigmas):
         dy -= grid.L * np.round(dy / grid.L)
         vals += alpha * np.exp(-(dx**2 + dy**2) / (2.0 * sigma**2))
     return VorticityField(grid, vals)
-
-
-REFINE = 4  # spectral zero-padding factor for marker interpolation
-
-
-@dataclass(frozen=True)
-class PointVelocity:
-    """A velocity field with its components refined to the REFINE*N grid that
-    marker interpolation reads."""
-
-    u: VelocityField
-    fine_x: np.ndarray
-    fine_y: np.ndarray
-
-
-def point_velocity(u):
-    """u and its REFINE*N refinement, made once and shared by every marker
-    and circulation evaluation of the same state."""
-    return PointVelocity(u, _spectral_refine(u.u_x, REFINE), _spectral_refine(u.u_y, REFINE))
-
-
-def _spectral_refine(values, factor):
-    """Zero-padded inverse transform of a real N x N field onto a factor*N grid,
-    exact for band-limited fields (Nyquist row/column split symmetrically)."""
-    N = values.shape[0]
-    M = factor * N
-    h = N // 2
-    hat = np.fft.fftshift(np.fft.fft2(values))  # frequencies -h .. h-1
-    ext = np.zeros((N + 1, N + 1), dtype=complex)  # frequencies -h .. h
-    ext[:N, :N] = hat
-    ext[N, :N] = hat[0, :]
-    ext[:N, N] = hat[:, 0]
-    ext[N, N] = hat[0, 0]
-    ext[0, :] *= 0.5
-    ext[N, :] *= 0.5
-    ext[:, 0] *= 0.5
-    ext[:, N] *= 0.5
-    big = np.zeros((M, M), dtype=complex)
-    lo = M // 2 - h
-    big[lo : lo + N + 1, lo : lo + N + 1] = ext
-    return np.real(np.fft.ifft2(np.fft.ifftshift(big))) * factor**2
-
-
-def interpolate_velocity(pv, p):
-    """Velocity at arbitrary points: bilinear interpolation with periodic
-    wrapping on the refined grids of the PointVelocity pv.
-
-    Accepts a single (x, y) point or an (M, 2) array; the output shape matches.
-    """
-    pts = np.asarray(p, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("non-finite evaluation point")
-    fine_x, fine_y = pv.fine_x, pv.fine_y
-    M = fine_x.shape[0]
-    h = pv.u.grid.L / M
-    f = np.mod(pts, pv.u.grid.L) / h
-    base = np.floor(f).astype(int)
-    t = f - base
-    i0 = base[:, 0] % M
-    j0 = base[:, 1] % M
-    i1 = (i0 + 1) % M
-    j1 = (j0 + 1) % M
-    tx = t[:, 0]
-    ty = t[:, 1]
-    out = np.empty_like(pts)
-    for k, fine in enumerate((fine_x, fine_y)):
-        out[:, k] = (
-            (1 - tx) * (1 - ty) * fine[i0, j0]
-            + tx * (1 - ty) * fine[i1, j0]
-            + (1 - tx) * ty * fine[i0, j1]
-            + tx * ty * fine[i1, j1]
-        )
-    return out[0] if single else out
-
-
-def advect_markers(curves, pv, dt):
-    """RK4 advection of every marker through the (frozen) PointVelocity pv."""
-    L = pv.u.grid.L
-    out = []
-    for curve in curves:
-        p = curve.points
-        k1 = interpolate_velocity(pv, p)
-        k2 = interpolate_velocity(pv, p + dt / 2 * k1)
-        k3 = interpolate_velocity(pv, p + dt / 2 * k2)
-        k4 = interpolate_velocity(pv, p + dt * k3)
-        new_pts = np.mod(p + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), L)
-        out.append(MarkerCurve(curve.label, new_pts))
-    return out
 
 
 # --- field I/O: raw little-endian float64 payload + JSON sidecar ---

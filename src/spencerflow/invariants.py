@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler2d import interpolate_velocity
-
 EPS_DENOM = 1e-30  # guard for relative errors of near-zero invariants
 
 
@@ -44,24 +42,22 @@ def enstrophy(zeta):
     return float(np.sum(zeta.values**2)) * zeta.grid.dx**2
 
 
-def circulation(curve, pv):
+def circulation(points, velocities, L):
     """Gamma = sum_m u(x_m) . (x_{m+1} - x_{m-1}) / 2, the periodic trapezoid
-    rule with minimal-image differences; u is read from the PointVelocity pv."""
-    pts = curve.points
-    if pts.shape[0] < 8:
+    rule with minimal-image differences on a torus of side L, for a closed
+    loop of (M, 2) points and the (M, 2) velocities at them."""
+    if points.shape[0] < 8:
         raise ValueError("a marker curve needs at least 8 points")
-    L = pv.u.grid.L
-    diffs = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+    diffs = np.roll(points, -1, axis=0) - np.roll(points, 1, axis=0)
     diffs -= L * np.round(diffs / L)
-    vel = interpolate_velocity(pv, pts)
-    return float(np.sum(vel * diffs)) / 2.0
+    return float(np.sum(velocities * diffs)) / 2.0
 
 
 def divergence_residual(u):
     """max over modes of |k . u_hat| normalized by the largest mode magnitude."""
     kx, ky = u.grid.wavenumbers()
-    ux_hat = np.fft.fft2(u.u_x)
-    uy_hat = np.fft.fft2(u.u_y)
+    ux_hat = np.fft.rfft2(u.u_x)
+    uy_hat = np.fft.rfft2(u.u_y)
     div = np.abs(kx * ux_hat + ky * uy_hat)
     scale = float(np.max(np.hypot(np.abs(ux_hat), np.abs(uy_hat))))
     if scale == 0.0:
@@ -69,15 +65,20 @@ def divergence_residual(u):
     return float(np.max(div)) / scale
 
 
-def phi_triple(zeta, pv, curves, t=0.0):
-    """The (I0, I1 per curve, I2, div_max) bundle at one snapshot; pv is the
-    PointVelocity of zeta."""
+def phi_triple(zeta, u, velocities, curves, t=0.0):
+    """The (I0, I1 per curve, I2, div_max) bundle at one snapshot; u is the
+    grid velocity of zeta and velocities its (P, 2) values at the points of
+    curves, stacked in curve order."""
+    ends = np.cumsum([len(c.points) for c in curves])[:-1]
     return InvariantRecord(
         t=t,
         I0=total_vorticity(zeta),
-        I1=tuple(circulation(c, pv) for c in curves),
+        I1=tuple(
+            circulation(c.points, v, zeta.grid.L)
+            for c, v in zip(curves, np.split(velocities, ends))
+        ),
         I2=enstrophy(zeta),
-        div_max=divergence_residual(pv.u),
+        div_max=divergence_residual(u),
     )
 
 

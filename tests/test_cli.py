@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -338,6 +340,24 @@ class TestModuleEntry:
         assert proc.returncode == 3
         assert "io error" in proc.stderr
 
+    def test_overflow_prints_only_the_gate_line(self, tmp_path):
+        # numpy's overflow warning must not reach stderr before the gate message
+        cfg = TestCartan.write_config(
+            tmp_path / "c.json",
+            algebra="sl2",
+            connection={"preset": "constant", "params": {"a": [1.0, 0.0, 0.0]}},
+            lambda0=[1.0, 1.0, 1.0],
+            ds=0.1,
+            s_end=400.0,
+            scheme="euler_paper",
+        )
+        proc = self.run_module("cartan", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "numerical gate: non-finite state after the step to s=389.10000000002\n"
+        )
+
 
 class TestEuler:
     @staticmethod
@@ -470,9 +490,9 @@ SHARING_DOC = {
 }
 
 
-def simulate_with_a_velocity_per_use(doc):
-    """The simulate loop in which the record inverts and refines its state
-    again, apart from the inversion that gives dt and the markers."""
+def simulate_with_a_stage_per_use(doc):
+    """The simulate loop in which rk4_step evaluates its own first stage and
+    each record and dt evaluates the stage of its state again."""
     grid, vortices, curves, dt_conf, t_end, output_every = cli.load_euler_config(doc)
     zeta = eu.gaussian_vorticity(
         grid,
@@ -480,32 +500,36 @@ def simulate_with_a_velocity_per_use(doc):
         [alpha for _, _, alpha, _ in vortices],
         [sigma for _, _, _, sigma in vortices],
     )
+    ends = np.cumsum([len(c.points) for c in curves])[:-1]
+    points = np.concatenate([c.points for c in curves])
 
-    def record(zeta, curves, t):
-        pv = eu.point_velocity(eu.velocity_from_vorticity(zeta))
-        return inv.phi_triple(zeta, pv, curves, t=t)
+    def record(zeta, points, t):
+        _, u, velocities = eu.stage(grid, zeta.spectrum(), points)
+        return inv.phi_triple(zeta, u, velocities, curves, t=t)
 
     t = 0.0
-    records = [record(zeta, curves, t)]
+    records = [record(zeta, points, t)]
     step = 0
     while t < t_end * (1 - 1e-12):
-        u = eu.velocity_from_vorticity(zeta)
+        u = eu.stage(grid, zeta.spectrum(), points)[1]
         dt = u.cfl_dt() if dt_conf == "auto" else dt_conf
         if not math.isfinite(dt):
             dt = t_end - t
         dt = min(dt, t_end - t)
-        curves = eu.advect_markers(curves, eu.point_velocity(u), dt)
-        zeta = eu.rk4_step(zeta, dt)
+        zeta, points = eu.rk4_step(zeta, dt, points)
+        curves = [eu.MarkerCurve(c.label, p) for c, p in zip(curves, np.split(points, ends))]
         t += dt
         step += 1
         if step % output_every == 0 or t >= t_end * (1 - 1e-12):
-            records.append(record(zeta, curves, t))
+            records.append(record(zeta, points, t))
     return records, curves
 
 
 class TestSimulateSharesOneVelocityPerState:
-    def test_one_inversion_and_one_refinement_per_state(self, monkeypatch):
-        calls = {"invert": 0, "refine": 0}
+    def test_tracer_step_and_stage_counts(self, monkeypatch):
+        # The benchmark tracer counts one rk4_step per step; each state gets
+        # one stage, which is also k1 of the next step, and no other inversion.
+        calls = {"rk4_step": 0, "stage": 0, "velocity_from_vorticity": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -514,20 +538,18 @@ class TestSimulateSharesOneVelocityPerState:
 
             return wrapper
 
-        monkeypatch.setattr(eu, "velocity_from_vorticity",
-                            counted("invert", eu.velocity_from_vorticity))
-        monkeypatch.setattr(eu, "_spectral_refine", counted("refine", eu._spectral_refine))
+        for name in calls:
+            monkeypatch.setattr(eu, name, counted(name, getattr(eu, name)))
         records, _ = cli.simulate(dict(SHARING_DOC, output_every=1))
         steps = len(records) - 1
         assert steps >= 3
-        assert calls["invert"] == steps + 1
-        assert calls["refine"] == 2 * (steps + 1)  # u_x and u_y of each state
+        assert calls == {"rk4_step": steps, "stage": 4 * steps + 1, "velocity_from_vorticity": 0}
 
     @pytest.mark.parametrize("output_every", [1, 3])
     def test_records_and_markers_are_bit_identical(self, output_every):
         doc = dict(SHARING_DOC, output_every=output_every)
         records, curves = cli.simulate(doc)
-        old_records, old_curves = simulate_with_a_velocity_per_use(doc)
+        old_records, old_curves = simulate_with_a_stage_per_use(doc)
         assert len(records) > 2
         assert records == old_records
         assert [c.label for c in curves] == [c.label for c in old_curves]
@@ -641,3 +663,30 @@ class TestReport:
         rc, _, _ = run_cli(capsys, ["report", "--csv", str(path)])
         assert rc == 1
 
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def invariant_series(curves):
+    record = st.builds(
+        inv.InvariantRecord, t=finite_floats, I0=finite_floats,
+        I1=st.tuples(*[finite_floats] * curves), I2=finite_floats, div_max=finite_floats,
+    )
+    return st.lists(record, min_size=2, max_size=6)
+
+
+@given(st.integers(1, 3).flatmap(invariant_series))
+def test_invariant_csv_round_trips(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("csv") / "invariants.csv"
+    labels = [f"v{i}" for i in range(len(records[0].I1))]
+    cli.write_invariant_csv(path, records, labels)
+    back_labels, back = cli.read_invariant_csv(path)
+    assert back_labels == labels
+    assert back == records
+    report = inv.conservation_report(records)
+    assert inv.conservation_report(back) == report
+    printed, expected = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert cli.main(["--json", "report", "--csv", str(path)]) == 0
+    cli.print_report(report, as_json=True, out=expected)
+    assert printed.getvalue() == expected.getvalue()
