@@ -12,42 +12,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import CFLViolation
-from .liealg import DualVector, LieVector
+from .liealg import DualVector
 
 
 @dataclass(frozen=True)
 class ConnectionSampler:
-    """Callable contract mapping (base point x, direction mu) -> LieVector."""
+    """Callable contract for a connection: sample_fn(x, mu) takes an (n, k)
+    float array of base points and returns A_mu there as (n, dim) floats, or
+    as (dim,) floats that broadcast to that shape."""
 
     dim: int  # algebra dimension of the returned vectors
     sample_fn: object
 
     def sample(self, x, mu):
-        v = self.sample_fn(x, mu)
-        if len(v.coeffs) != self.dim:
+        a = np.asarray(self.sample_fn(x, mu), dtype=float)
+        if a.shape[-1:] != (self.dim,):
             raise ValueError("sampler returned a vector of the wrong dimension")
-        return v
+        return a
 
     def contract(self, x, v):
-        """A . v = sum_mu A_mu(x) v^mu as a float LieVector."""
-        out = np.zeros(self.dim)
+        """A . v = sum_mu A_mu(x) v^mu at every row of x, as an (n, dim) array."""
+        out = np.zeros((len(x), self.dim))
         for mu, vmu in enumerate(v):
             if vmu == 0:
                 continue
-            out += vmu * np.array([float(c) for c in self.sample(x, mu).coeffs])
-        return LieVector(tuple(out))
+            out += vmu * self.sample(x, mu)
+        return out
 
     @staticmethod
     def constant(a):
         """A_0 = a, all other directions zero."""
-        dim = len(a.coeffs)
-        zero = LieVector((0.0,) * dim)
-        return ConnectionSampler(dim, lambda x, mu: a if mu == 0 else zero)
+        a = _floats(a)
+        zero = np.zeros_like(a)
+        return ConnectionSampler(len(a), lambda x, mu: a if mu == 0 else zero)
 
     @staticmethod
     def abelian_zero(dim=1):
-        zero = LieVector((0.0,) * dim)
-        return ConnectionSampler(dim, lambda x, mu: zero)
+        return ConnectionSampler.constant(np.zeros(dim))
 
     @staticmethod
     def wu_yang_monopole(q):
@@ -56,26 +57,10 @@ class ConnectionSampler:
 
         def sample(x, mu):
             if mu == 2:
-                return LieVector((q * (1.0 - math.cos(x[1])),))
-            return LieVector((0.0,))
+                return q * (1.0 - np.cos(x[:, 1]))[:, None]
+            return np.zeros(1)
 
         return ConnectionSampler(1, sample)
-
-
-@dataclass(frozen=True)
-class CharacteristicState:
-    """Integration state along one characteristic: arc parameter, base point,
-    and the transported dual vector."""
-
-    s: float
-    x: tuple
-    lam: DualVector
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in self.x):
-            raise ValueError("non-finite base point")
-        if not all(math.isfinite(float(v)) for v in self.lam.coeffs):
-            raise ValueError("non-finite state")
 
 
 def _structure_tensor(g):
@@ -93,9 +78,10 @@ def _floats(vec):
 
 
 def rhs_generator(g, A_dot_v):
-    """Matrix M with (dlambda/ds)_a = M[a, c] lambda_c = -C^c_{ba} (A.v)^b lambda_c."""
-    # M[a, c] = -sum_b C[b, a, c] * Av[b]
-    return -np.einsum("bac,b->ac", _structure_tensor(g), _floats(A_dot_v))
+    """Matrix M with (dlambda/ds)_a = M[a, c] lambda_c = -C^c_{ba} (A.v)^b lambda_c,
+    one per row of an A.v of shape (..., dim)."""
+    # M[..., a, c] = -sum_b C[b, a, c] * Av[..., b]
+    return -np.einsum("bac,...b->...ac", _structure_tensor(g), _floats(A_dot_v))
 
 
 def cartan_rhs(g, A_dot_v, lam):
@@ -104,80 +90,40 @@ def cartan_rhs(g, A_dot_v, lam):
 
 
 def cfl_bound(g, A_dot_v):
-    """ds_max = 1 / max_{a,b,c} |C^c_{ba} (A.v)^b|; +inf when the max is 0."""
-    worst = np.max(np.abs(_structure_tensor(g) * _floats(A_dot_v)[:, None, None]))
-    return math.inf if worst == 0.0 else 1.0 / worst
+    """ds_max = 1 / max_{a,b,c} |C^c_{ba} (A.v)^b| for each row of an A.v of
+    shape (..., dim); +inf where the max is 0. Rounding is monotone, so the
+    max over (a, c) can be taken on C before the product."""
+    C_max = np.max(np.abs(_structure_tensor(g)), axis=(1, 2))
+    worst = np.max(np.abs(_floats(A_dot_v)) * C_max, axis=-1)
+    with np.errstate(divide="ignore"):
+        return 1.0 / worst
 
 
-class PointGenerators:
-    """A.v and the generator M = rhs_generator(g, A.v) at the base points of one
-    characteristic, computed once per distinct point.
-
-    One instance serves one run: `integrate` shares it across its steps, so
-    the structure tensor is converted once, and a step's end point, which is
-    bit for bit the next step's start point, is not contracted again. Only
-    the last point is kept; RK4's two midpoint stages share their generator
-    inside `step`.
-    """
-
-    def __init__(self, g, A, v):
-        self.C = _structure_tensor(g)
-        self.A = A
-        self.v = np.array(v, dtype=float)
-        self._x = None
-        self._last = None
-
-    def __call__(self, x):
-        """(A.v(x), M(x)) as float arrays, for the base point x (a tuple)."""
-        if x != self._x:
-            Av = _floats(self.A.contract(x, self.v))
-            self._x, self._last = x, (Av, rhs_generator(self.C, Av))
-        return self._last
-
-
-def step(g, state, A, v, ds, scheme="euler_paper", renormalize=False, generators=None):
-    """Advance one characteristic step.
+def step(lam, h, M0, M_mid=None, M_end=None, scheme="euler_paper", renormalize=False):
+    """One characteristic step of size h from lam, given the generators M at
+    the step's start, midpoint and end (the last two only for rk4).
 
     euler_paper is the explicit first-order update
-    lambda_a(s+ds) = lambda_a(s) - ds * C^c_{ba} (A.v)^b lambda_c(s);
+    lambda_a(s+h) = lambda_a(s) - h * C^c_{ba} (A.v)^b lambda_c(s);
     rk4 is the classical 4-stage scheme on the same right-hand side.
     renormalize rescales lambda back to its norm at step entry.
-    generators is the run's PointGenerators(g, A, v), shared by consecutive
-    steps; a fresh one is built when it is omitted.
     """
-    if scheme not in ("euler_paper", "rk4"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    at = PointGenerators(g, A, v) if generators is None else generators
-    x = np.array(state.x, dtype=float)
-    v = np.array(v, dtype=float)
-    lam = _floats(state.lam)
-    Av0, M0 = at(tuple(x))
-    bound = cfl_bound(at.C, Av0)
-    if ds >= bound:
-        raise CFLViolation(
-            f"step size {ds} >= stability bound {bound} "
-            "(ds * max|C^c_ba (A.v)^b| must stay below 1)"
-        )
-
-    x_end = tuple(x + ds * v)
     if scheme == "euler_paper":
-        lam_new = lam + ds * (M0 @ lam)
-    else:
-        M_mid = at(tuple(x + ds / 2 * v))[1]
+        lam_new = lam + h * (M0 @ lam)
+    elif scheme == "rk4":
         k1 = M0 @ lam
-        k2 = M_mid @ (lam + ds / 2 * k1)
-        k3 = M_mid @ (lam + ds / 2 * k2)
-        k4 = at(x_end)[1] @ (lam + ds * k3)
-        lam_new = lam + ds / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
+        k2 = M_mid @ (lam + h / 2 * k1)
+        k3 = M_mid @ (lam + h / 2 * k2)
+        k4 = M_end @ (lam + h * k3)
+        lam_new = lam + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
     if renormalize:
         norm0 = np.linalg.norm(lam)
         norm1 = np.linalg.norm(lam_new)
         if norm1 > 0:
             lam_new = lam_new * (norm0 / norm1)
-    if not np.all(np.isfinite(lam_new)):
-        raise CFLViolation(f"non-finite state after the step to s={state.s + ds}")
-    return CharacteristicState(state.s + ds, x_end, DualVector(tuple(lam_new)))
+    return lam_new
 
 
 def _expm(M, tol=1e-14):
@@ -200,48 +146,70 @@ def _expm(M, tol=1e-14):
 def coadjoint_flow_exact(g, a, lam0, s):
     """Exact flow of the linear characteristic ODE with constant A.v = a, via
     the matrix exponential of s * M (test oracle)."""
-    M = rhs_generator(g, a)
-    lam = np.array([float(c) for c in lam0.coeffs])
-    return DualVector(tuple(_expm(s * M) @ lam))
+    return DualVector(tuple(_expm(s * rhs_generator(g, a)) @ _floats(lam0)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
-    """Integrate a characteristic from s=0 to s_end; returns the list of states
-    (the final step is shortened to land on s_end exactly). Overflow is not
-    reported by numpy here: step's finiteness check raises the gate."""
-    generators = PointGenerators(g, A, v)
-    state = CharacteristicState(0.0, (0.0,) * len(v), lam0)
-    states = [state]
+    """Integrate a characteristic from s=0 to s_end (the final step is
+    shortened to land on s_end exactly). Returns arrays s, x and lambda of
+    shapes (n+1,), (n+1, k) and (n+1, dim), one row per state.
+
+    The base-point path x_n = x_0 + sum h_i v does not depend on lambda, so
+    A.v is contracted at every state (and, for rk4, every midpoint) and the
+    CFL gate is checked on every step before the lambda recursion starts.
+    Overflow is not reported by numpy here: a base point or a lambda that
+    leaves float64 raises the gate instead."""
+    C = _structure_tensor(g)
     n_full = int(s_end / ds)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_full):
-            state = step(g, state, A, v, ds, scheme, renormalize, generators)
-            states.append(state)
-        rem = s_end - n_full * ds
-        if rem > 1e-15 * max(1.0, abs(s_end)):
-            state = step(g, state, A, v, rem, scheme, renormalize, generators)
-            states.append(state)
-    return states
+    rem = s_end - n_full * ds
+    h = [ds] * n_full + ([rem] if rem > 1e-15 * max(1.0, abs(s_end)) else [])
+    s = np.cumsum([0.0] + h)
+    x = np.cumsum(np.concatenate([np.zeros((1, len(v))), np.multiply.outer(h, v)]), axis=0)
+    if not np.isfinite(x[-1]).all():  # each coordinate of x is monotone in s
+        raise CFLViolation(f"the base point leaves float64 before s={s_end}")
+
+    Av = A.contract(x, v)
+    bound = cfl_bound(C, Av[:-1])
+    bad = np.flatnonzero(np.array(h) >= bound)
+    if bad.size:
+        n = bad[0]
+        raise CFLViolation(
+            f"step size {h[n]} >= stability bound {bound[n]} "
+            "(ds * max|C^c_ba (A.v)^b| must stay below 1)"
+        )
+    M = rhs_generator(C, Av)
+    M_mid = M[:-1]  # unused by euler_paper
+    if scheme == "rk4":
+        mid = x[:-1] + np.multiply.outer(np.divide(h, 2), v)
+        M_mid = rhs_generator(C, A.contract(mid, v))
+
+    lam0 = _floats(lam0)
+    lam = np.empty((len(s), len(lam0)))
+    lam[0] = lam0
+    for n, hn in enumerate(h):
+        lam[n + 1] = step(lam[n], hn, M[n], M_mid[n], M[n + 1], scheme, renormalize)
+    bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
+    if bad.size:
+        raise CFLViolation(f"non-finite state after the step to s={s[bad[0]]}")
+    return s, x, lam
 
 
-def residual_profile(g, A, v, states):
+def residual_profile(g, A, v, s, x, lam):
     """Central-difference residual max_a |dlambda_a/ds - (M(x) lambda)_a| of the
-    transport equation at each state of a characteristic, with M =
-    rhs_generator(g, A.v(x)). It reads 0 at the two ends and at a state whose
-    neighbours are not equally spaced in s (the final, shortened step);
+    transport equation at each row of a characteristic (s, x, lambda), with
+    M = rhs_generator(g, A.v(x)). It reads 0 at the two ends and at a state
+    whose neighbours are not equally spaced in s (the final, shortened step);
     spacings that differ only by the rounding of s count as equal."""
-    at = PointGenerators(g, A, v)
-    s = [st.s for st in states]
-    lams = np.array([st.lam.coeffs for st in states], dtype=float)
-    resid = np.zeros(len(states))
-    for n in range(1, len(states) - 1):
-        h = s[n + 1] - s[n]
-        hm = s[n] - s[n - 1]
-        if h <= 0 or abs(h - hm) > 1e-12 * max(h, hm) + 2 * math.ulp(s[n + 1]):
-            continue
-        M = at(states[n].x)[1]
-        dlam = (lams[n + 1] - lams[n - 1]) / (2 * h)
-        resid[n] = np.max(np.abs(dlam - M @ lams[n]))
+    h, hm = s[2:] - s[1:-1], s[1:-1] - s[:-2]
+    tol = 1e-12 * np.maximum(h, hm) + 2 * np.spacing(np.abs(s[2:]))
+    uneven = (h <= 0) | (np.abs(h - hm) > tol)
+    M = rhs_generator(g, A.contract(x[1:-1], v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dlam = (lam[2:] - lam[:-2]) / (2 * h[:, None])
+        inner = np.max(np.abs(dlam - (M @ lam[1:-1, :, None])[..., 0]), axis=1)
+    resid = np.zeros(len(s))
+    resid[1:-1] = np.where(uneven, 0.0, inner)
     return resid
 
 
@@ -252,12 +220,11 @@ def cartan_residual(g, A, lam_samples, h, v=(1.0,)):
         raise ValueError("grid spacing must be positive")
     if len(lam_samples) < 3:
         raise ValueError("need at least 3 samples for central differences")
-    v = np.array(v, dtype=float)
-    states = [
-        CharacteristicState(n * h, tuple(n * h * v), lam)
-        for n, lam in enumerate(lam_samples)
-    ]
-    return float(np.max(residual_profile(g, A, v, states)))
+    lam = np.array([_floats(sample) for sample in lam_samples])
+    if not np.isfinite(lam).all():
+        raise ValueError("non-finite state")
+    s = np.arange(len(lam)) * h
+    return float(np.max(residual_profile(g, A, v, s, np.multiply.outer(s, v), lam)))
 
 
 def monopole_radial_check(q, r, h):
@@ -272,8 +239,7 @@ def monopole_radial_check(q, r, h):
 
 def nonholonomy_coefficient(g, lam, omega_val):
     """<lambda, Omega> / ||lambda||^2, the quotient-direction coefficient."""
-    lam_arr = np.array([float(c) for c in lam.coeffs])
-    om = np.array([float(c) for c in omega_val.coeffs])
+    lam_arr, om = _floats(lam), _floats(omega_val)
     norm2 = float(lam_arr @ lam_arr)
     if norm2 == 0.0:
         raise ValueError("lambda must be nonzero")

@@ -48,7 +48,7 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -60,7 +60,11 @@ def _load_algebra(name_or_path):
     except (KeyError, ValueError):
         pass
     if os.path.exists(name_or_path):
-        return liealg.from_json(_load_json(name_or_path))
+        doc = _load_json(name_or_path)
+        try:
+            return liealg.from_json(doc)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown algebra {name_or_path!r} (not a preset or file)")
 
 
@@ -120,9 +124,11 @@ def load_euler_config(doc):
         optional=("dt", "dealias", "curves", "output_every"),
     )
     gdoc = _validate(doc["grid"], "grid", required=("N",), optional=("L",))
-    grid = euler2d.GridSpec(
-        _whole(gdoc["N"], "N", 16), _positive(gdoc.get("L", 2 * math.pi), "L")
-    )
+    N, L = _whole(gdoc["N"], "N", 16), _positive(gdoc.get("L", 2 * math.pi), "L")
+    try:
+        grid = euler2d.GridSpec(N, L)
+    except ValueError as exc:  # N not a power of two
+        raise ConfigError(str(exc)) from exc
     if doc.get("dealias", True) is not True:
         raise ConfigError("dealias:false is not supported; the solver always dealiases")
     vortices = [
@@ -199,19 +205,24 @@ def write_invariant_csv(path, records, labels):
 
 
 def read_invariant_csv(path):
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # bytes that are not text fail the parse
         header = fh.readline().strip().split(",")
         if header[:4] != ["t", "I0", "I2", "div_max"]:
             raise ConfigError(f"unexpected CSV header in {path}")
         labels = [h[len("circ_"):] for h in header[4:]]
         records = []
-        for line in fh:
-            vals = [float(x) for x in line.strip().split(",")]
-            records.append(
-                invariants.InvariantRecord(
-                    t=vals[0], I0=vals[1], I2=vals[2], div_max=vals[3], I1=vals[4:]
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                vals = [float(x) for x in line.strip().split(",")]
+                if len(vals) != len(header):
+                    raise ValueError(f"{len(vals)} fields, the header has {len(header)}")
+                records.append(
+                    invariants.InvariantRecord(
+                        t=vals[0], I0=vals[1], I2=vals[2], div_max=vals[3], I1=vals[4:]
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {lineno}: {exc}") from exc
     if len(records) < 2:
         raise ConfigError(f"{path} holds fewer than two records")
     return labels, records
@@ -276,9 +287,7 @@ def load_cartan_config(doc):
     params = conn_doc.get("params", {})
     if preset == "constant":
         _validate(params, "connection params", required=("a",))
-        A = cartan.ConnectionSampler.constant(
-            liealg.LieVector(_finite_list(params["a"], "a"))
-        )
+        A = cartan.ConnectionSampler.constant(_finite_list(params["a"], "a"))
     elif preset == "abelian_zero":
         _validate(params, "connection params", required=())
         A = cartan.ConnectionSampler.abelian_zero(g.dim)
@@ -289,8 +298,8 @@ def load_cartan_config(doc):
         raise ConfigError(f"unknown connection preset {preset!r}")
     if A.dim != g.dim:
         raise ConfigError("connection dimension does not match the algebra")
-    lam0 = liealg.DualVector(_finite_list(doc["lambda0"], "lambda0"))
-    if len(lam0.coeffs) != g.dim:
+    lam0 = _finite_list(doc["lambda0"], "lambda0")
+    if len(lam0) != g.dim:
         raise ConfigError("lambda0 length does not match the algebra dimension")
     v = _finite_list(doc.get("v", [1.0]), "v")
     ds = _positive(doc["ds"], "ds")
@@ -310,7 +319,7 @@ def cmd_cartan(args):
     doc = _load_json(args.config)
     g, A, lam0, v, ds, s_end, scheme, renorm = load_cartan_config(doc)
 
-    Av0 = A.contract((0.0,) * len(v), v)
+    Av0 = A.contract(np.zeros((1, len(v))), v)[0]
     bound = cartan.cfl_bound(g, Av0)
     if ds >= bound:
         if args.auto_ds:
@@ -324,10 +333,9 @@ def cmd_cartan(args):
             )
             return EXIT_GATE
 
-    states = cartan.integrate(g, lam0, A, v, ds, s_end, scheme, renorm)
-    lams = np.array([[float(c) for c in st.lam.coeffs] for st in states])
-    norms = np.linalg.norm(lams, axis=1)
-    resid = cartan.residual_profile(g, A, v, states)
+    s, x, lam = cartan.integrate(g, lam0, A, v, ds, s_end, scheme, renorm)
+    norms = np.linalg.norm(lam, axis=1)
+    resid = cartan.residual_profile(g, A, v, s, x, lam)
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -336,20 +344,17 @@ def cmd_cartan(args):
             fh.write(
                 "s," + ",".join(f"lambda_{i}" for i in range(g.dim)) + ",norm,residual_estimate\n"
             )
-            for st, nrm, rs in zip(states, norms, resid):
-                row = [st.s, *st.lam.coeffs, nrm, rs]
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+            for row in np.column_stack([s, lam, norms, resid]).tolist():
+                fh.write(",".join(map(_fmt, row)) + "\n")
 
     summary = {
-        "final_lambda": [float(c) for c in states[-1].lam.coeffs],
+        "final_lambda": lam[-1].tolist(),
         "norm_drift": float(abs(norms[-1] - norms[0])),
         "max_residual_estimate": float(np.max(resid)),
     }
     if doc.get("connection", {}).get("preset") == "constant":
         oracle = cartan.coadjoint_flow_exact(g, Av0, lam0, s_end)
-        summary["oracle_deviation"] = float(
-            np.max(np.abs(lams[-1] - np.array([float(c) for c in oracle.coeffs])))
-        )
+        summary["oracle_deviation"] = float(np.max(np.abs(lam[-1] - oracle.coeffs)))
     if args.json:
         print(json.dumps(summary))
     else:
@@ -375,6 +380,32 @@ def _print_or_dump(payload, args, text_lines):
         with open(os.path.join(args.out, "lie_report.json"), "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
+
+
+def _sym_tensor(text, dim):
+    """The --tensor argument, a JSON list of [indices, numerator, denominator]
+    terms of one degree, as a SymTensor over an algebra of dimension dim."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"--tensor is not JSON: {exc}") from None
+    if not isinstance(doc, list) or not doc:
+        raise ConfigError(f"--tensor must be a non-empty list of terms, not {text!r}")
+    terms = {}
+    for term in doc:
+        if not (isinstance(term, list) and len(term) == 3 and isinstance(term[0], list)
+                and all(type(i) is int and 0 <= i < dim for i in term[0])
+                and type(term[1]) is int and type(term[2]) is int and term[2] != 0):
+            raise ConfigError(
+                f"--tensor term {term!r} must be [indices, numerator, denominator] "
+                f"with indices in 0..{dim - 1} and a nonzero int denominator"
+            )
+        idx = tuple(sorted(term[0]))
+        terms[idx] = terms.get(idx, 0) + Fraction(term[1], term[2])
+    degrees = {len(idx) for idx in terms}
+    if len(degrees) > 1:
+        raise ConfigError("--tensor: mixed-degree tensors are not supported")
+    return spencer.SymTensor(dim, degrees.pop(), terms)
 
 
 def cmd_lie(args):
@@ -408,6 +439,8 @@ def cmd_lie(args):
         return EXIT_OK
 
     if args.subcommand == "cohomology":
+        if args.p < 0 or args.max_q < 0:
+            raise ConfigError(f"degrees must be non-negative (p={args.p}, max_q={args.max_q})")
         dims = spencer.ce_cohomology_dims(g, args.p, args.max_q)
         payload = {"algebra": args.algebra, "p": args.p, "dims": dims}
         _print_or_dump(
@@ -417,7 +450,10 @@ def cmd_lie(args):
         return EXIT_OK
 
     if args.subcommand == "betti":
-        base = [int(x) for x in args.base.split(",")]
+        try:
+            base = [int(x) for x in args.base.split(",")]
+        except ValueError:
+            raise ConfigError(f"base must be comma-separated integers, not {args.base!r}") from None
         if args.factor == "sym":
             factor = spencer.sym_dimension_factor(g, max_p=len(base))
         elif args.factor == "whitehead":
@@ -435,23 +471,19 @@ def cmd_lie(args):
         return EXIT_OK
 
     # delta
-    doc = json.loads(args.tensor)
-    terms = {}
-    degree = None
-    for indices, num, den in doc:
-        idx = tuple(sorted(int(i) for i in indices))
-        degree = len(idx) if degree is None else degree
-        if len(idx) != degree:
-            raise ConfigError("mixed-degree tensors are not supported")
-        terms[idx] = terms.get(idx, 0) + Fraction(num, den)
-    X = spencer.SymTensor(g.dim, degree, terms)
+    X = _sym_tensor(args.tensor, g.dim)
     if args.kind == "structural":
         out = spencer.spencer_delta_structural(g, X)
     else:
         if not args.omega:
             raise ConfigError("curvature differential needs --omega")
-        om = liealg.LieVector(tuple(Fraction(x) for x in args.omega.split(",")))
-        out = spencer.spencer_delta_curvature(g, om, X)
+        try:
+            om = tuple(Fraction(x) for x in args.omega.split(","))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"--omega must be comma-separated rationals, not {args.omega!r}") from None
+        if len(om) != g.dim:
+            raise ConfigError(f"--omega needs {g.dim} components, not {len(om)}")
+        out = spencer.spencer_delta_curvature(g, liealg.LieVector(om), X)
     payload = {
         "algebra": args.algebra,
         "kind": args.kind,
@@ -529,7 +561,7 @@ def main(argv=None):
         if args.command == "euler":
             return cmd_euler(args)
         return cmd_report(args)
-    except (ConfigError, KeyError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CFLViolation as exc:

@@ -64,53 +64,74 @@ class TestCFL:
 
     def test_gate_rejects_before_mutation(self, su2):
         A = ca.ConnectionSampler.constant(E3)
-        state = ca.CharacteristicState(0.0, (0.0,), LAM0)
         with pytest.raises(ca.CFLViolation):
-            ca.step(su2, state, A, (1.0,), 1.0)
+            ca.integrate(su2, LAM0, A, (1.0,), 1.0, 1.0, "euler_paper")
         with pytest.raises(ca.CFLViolation):
-            ca.step(su2, state, A, (1.0,), 1.5, scheme="rk4")
+            ca.integrate(su2, LAM0, A, (1.0,), 1.5, 1.5, "rk4")
+
+    @pytest.mark.parametrize("name", ["su2", "sl2"])
+    def test_batched_rows_match_the_per_point_formulas(self, name):
+        g = la.preset(name)
+        C = structure_tensor_loop(g)
+        Av = np.random.default_rng(2).standard_normal((5, 3))
+        M = ca.rhs_generator(g, Av)
+        bound = ca.cfl_bound(g, Av)
+        for n in range(5):
+            assert np.array_equal(M[n], -np.einsum("bac,b->ac", C, Av[n]))
+            assert bound[n] == 1.0 / np.max(np.abs(C * Av[n][:, None, None]))
+
+    def test_base_point_overflow_is_gate(self):
+        A = ca.ConnectionSampler.wu_yang_monopole(0.5)
+        g, lam0 = la.preset("abelian1"), la.DualVector((1.0,))
+        with pytest.raises(ca.CFLViolation, match="base point"):
+            ca.integrate(g, lam0, A, (0.0, 1e308, 0.3), 0.5, 5.0)
+
+
+def one_step(g, lam, ds, A, renormalize=False):
+    """(s, lambda) after one euler_paper step of size ds along v = (1,)."""
+    s, _, lams = ca.integrate(g, lam, A, (1.0,), ds, ds, "euler_paper", renormalize)
+    assert len(s) == 2
+    return s[-1], lams[-1]
 
 
 class TestStep:
     def test_abelian_identity(self, ab2):
         A = ca.ConnectionSampler.abelian_zero(2)
-        state = ca.CharacteristicState(0.0, (0.0,), la.DualVector((1.0, 2.0)))
-        out = ca.step(ab2, state, A, (1.0,), 0.3)
-        assert out.lam.coeffs == (1.0, 2.0)
-        assert out.s == pytest.approx(0.3)
+        s, lam = one_step(ab2, la.DualVector((1.0, 2.0)), 0.3, A)
+        assert lam.tolist() == [1.0, 2.0]
+        assert s == pytest.approx(0.3)
 
     def test_euler_paper_update(self, su2):
         A = ca.ConnectionSampler.constant(E3)
-        state = ca.CharacteristicState(0.0, (0.0,), LAM0)
-        out = ca.step(su2, state, A, (1.0,), 0.1, "euler_paper")
-        assert out.lam.coeffs == (1.0, 0.1, 0.0)
+        _, lam = one_step(su2, LAM0, 0.1, A)
+        assert lam.tolist() == [1.0, 0.1, 0.0]
 
     def test_euler_paper_renormalized(self, su2):
         A = ca.ConnectionSampler.constant(E3)
-        state = ca.CharacteristicState(0.0, (0.0,), LAM0)
-        out = ca.step(su2, state, A, (1.0,), 0.1, "euler_paper", renormalize=True)
+        _, lam = one_step(su2, LAM0, 0.1, A, renormalize=True)
         expect = np.array([1.0, 0.1, 0.0]) / math.sqrt(1.01)
-        assert np.allclose(out.lam.coeffs, expect, atol=1e-15)
+        assert np.allclose(lam, expect, atol=1e-15)
 
     def test_linearity_of_euler_step(self, su2):
-        A = ca.ConnectionSampler.constant(E3)
+        M = ca.rhs_generator(su2, E3)
         rng = np.random.default_rng(4)
         for _ in range(10):
             l1 = rng.standard_normal(3)
             l2 = rng.standard_normal(3)
-            s1 = ca.step(su2, ca.CharacteristicState(0.0, (0.0,), la.DualVector(tuple(l1))), A, (1.0,), 0.05)
-            s2 = ca.step(su2, ca.CharacteristicState(0.0, (0.0,), la.DualVector(tuple(l2))), A, (1.0,), 0.05)
-            s12 = ca.step(su2, ca.CharacteristicState(0.0, (0.0,), la.DualVector(tuple(l1 + l2))), A, (1.0,), 0.05)
-            assert np.allclose(
-                np.array(s12.lam.coeffs),
-                np.array(s1.lam.coeffs) + np.array(s2.lam.coeffs),
-                atol=1e-12,
-            )
+            s1 = ca.step(l1, 0.05, M)
+            s2 = ca.step(l2, 0.05, M)
+            s12 = ca.step(l1 + l2, 0.05, M)
+            assert np.allclose(s12, s1 + s2, atol=1e-12)
+
+    def test_unknown_scheme_rejected(self, su2):
+        M = ca.rhs_generator(su2, E3)
+        with pytest.raises(ValueError):
+            ca.step(np.ones(3), 0.1, M, M, M, scheme="rk2")
 
     def test_rk4_quarter_turn(self, su2):
         A = ca.ConnectionSampler.constant(E3)
-        states = ca.integrate(su2, LAM0, A, (1.0,), 1e-3, math.pi / 2, "rk4")
-        assert np.allclose(states[-1].lam.coeffs, (0.0, 1.0, 0.0), atol=1e-10)
+        _, _, lam = ca.integrate(su2, LAM0, A, (1.0,), 1e-3, math.pi / 2, "rk4")
+        assert np.allclose(lam[-1], (0.0, 1.0, 0.0), atol=1e-10)
 
 
 class TestExactFlow:
@@ -142,22 +163,20 @@ class TestExactFlow:
 class TestConvergenceOrders:
     def test_rk4_long_run_accuracy_and_norm(self, su2):
         A = ca.ConnectionSampler.constant(E3)
-        states = ca.integrate(su2, LAM0, A, (1.0,), 1e-3, 2 * math.pi, "rk4")
+        _, _, lam = ca.integrate(su2, LAM0, A, (1.0,), 1e-3, 2 * math.pi, "rk4")
         ref = ca.coadjoint_flow_exact(su2, E3, LAM0, 2 * math.pi)
-        dev = np.max(np.abs(np.array(states[-1].lam.coeffs) - np.array(ref.coeffs)))
+        dev = np.max(np.abs(lam[-1] - np.array(ref.coeffs)))
         assert dev <= 1e-8
-        drift = abs(np.linalg.norm(states[-1].lam.coeffs) - 1.0)
+        drift = abs(np.linalg.norm(lam[-1]) - 1.0)
         assert drift <= 1e-10
 
     def test_euler_first_order(self, su2):
         A = ca.ConnectionSampler.constant(E3)
         errs = []
         for ds in (1e-3, 5e-4):
-            states = ca.integrate(su2, LAM0, A, (1.0,), ds, 1.0, "euler_paper")
+            _, _, lam = ca.integrate(su2, LAM0, A, (1.0,), ds, 1.0, "euler_paper")
             ref = ca.coadjoint_flow_exact(su2, E3, LAM0, 1.0)
-            errs.append(
-                np.max(np.abs(np.array(states[-1].lam.coeffs) - np.array(ref.coeffs)))
-            )
+            errs.append(np.max(np.abs(lam[-1] - np.array(ref.coeffs))))
         order = math.log2(errs[0] / errs[1])
         assert 0.9 <= order <= 1.1
 
@@ -165,11 +184,9 @@ class TestConvergenceOrders:
         A = ca.ConnectionSampler.constant(E3)
         errs = []
         for ds in (0.05, 0.025):
-            states = ca.integrate(su2, LAM0, A, (1.0,), ds, 1.0, "rk4")
+            _, _, lam = ca.integrate(su2, LAM0, A, (1.0,), ds, 1.0, "rk4")
             ref = ca.coadjoint_flow_exact(su2, E3, LAM0, 1.0)
-            errs.append(
-                np.max(np.abs(np.array(states[-1].lam.coeffs) - np.array(ref.coeffs)))
-            )
+            errs.append(np.max(np.abs(lam[-1] - np.array(ref.coeffs))))
         order = math.log2(errs[0] / errs[1])
         assert order >= 3.7
 
@@ -205,11 +222,9 @@ class TestResidual:
         while s[-1] < 16.1:
             s.append(s[-1] + 1e-3)
         s.append(s[-1] + 4e-4)  # a final, shortened step
-        states = [
-            ca.CharacteristicState(sn, (sn,), la.DualVector((math.cos(sn), math.sin(sn), 0.0)))
-            for sn in s
-        ]
-        resid = ca.residual_profile(su2, A, (1.0,), states)
+        s = np.array(s)
+        lam = np.array([(math.cos(sn), math.sin(sn), 0.0) for sn in s])
+        resid = ca.residual_profile(su2, A, (1.0,), s, s[:, None], lam)
         assert resid[0] == resid[-1] == resid[-2] == 0.0
         assert np.all(resid[1:-2] > 0.0)
         assert np.max(resid) <= 1e-6
@@ -219,10 +234,9 @@ class TestResidual:
         A = ca.ConnectionSampler.constant(E3)
         h = 1e-3
         samples = self._rotating_samples(h, 20001)
-        states = [
-            ca.CharacteristicState(n * h, (n * h,), lam) for n, lam in enumerate(samples)
-        ]
-        resid = ca.residual_profile(su2, A, (1.0,), states)
+        s = np.array([n * h for n in range(len(samples))])
+        lam = np.array([sample.coeffs for sample in samples])
+        resid = ca.residual_profile(su2, A, (1.0,), s, s[:, None], lam)
         assert np.all(resid[1:-1] > 0.0)
         assert ca.cartan_residual(su2, A, samples, h) == np.max(resid)
 
@@ -230,6 +244,12 @@ class TestResidual:
         A = ca.ConnectionSampler.constant(E3)
         with pytest.raises(ValueError):
             ca.cartan_residual(su2, A, [la.DualVector((1.0, 0.0, 0.0))] * 2, 0.1)
+
+    def test_non_finite_sample_rejected(self, su2):
+        A = ca.ConnectionSampler.constant(E3)
+        samples = [LAM0, la.DualVector((math.nan, 0.0, 0.0)), LAM0]
+        with pytest.raises(ValueError, match="non-finite"):
+            ca.cartan_residual(su2, A, samples, 0.1)
 
 
 class TestMonopole:
@@ -251,9 +271,16 @@ class TestMonopole:
     def test_wu_yang_sampler(self):
         A = ca.ConnectionSampler.wu_yang_monopole(2.0)
         # at the equator theta = pi/2: A_phi = q
-        val = A.sample((1.0, math.pi / 2, 0.0), 2)
-        assert val.coeffs[0] == pytest.approx(2.0)
-        assert A.sample((1.0, 0.5, 0.0), 0).coeffs[0] == 0.0
+        val = A.sample(np.array([[1.0, math.pi / 2, 0.0]]), 2)
+        assert val[0, 0] == pytest.approx(2.0)
+        assert np.all(A.sample(np.array([[1.0, 0.5, 0.0]]), 0) == 0.0)
+
+    def test_wrong_width_rejected(self, su2):
+        A = ca.ConnectionSampler(3, lambda x, mu: np.zeros(2))
+        with pytest.raises(ValueError, match="wrong dimension"):
+            A.sample(np.zeros((1, 1)), 0)
+        with pytest.raises(ValueError, match="wrong dimension"):
+            ca.integrate(su2, LAM0, A, (1.0,), 0.1, 0.5)
 
 
 class TestNonholonomy:
@@ -282,15 +309,11 @@ def structure_tensor_loop(g):
     return C
 
 
-def reference_step(g, state, A, v, ds, scheme, renormalize):
-    """One step with a fresh tensor and a fresh contraction at every stage."""
-    C = structure_tensor_loop(g)
-    x = np.array(state.x, dtype=float)
-    v = np.array(v, dtype=float)
-    lam = np.array([float(c) for c in state.lam.coeffs])
+def reference_step(C, lam, A, x, v, ds, scheme, renormalize):
+    """One step with a fresh single-point contraction at every stage."""
 
     def f(sigma, lam_in):
-        Av = np.array([float(c) for c in A.contract(tuple(x + sigma * v), v).coeffs])
+        Av = A.contract((x + sigma * v)[None, :], v)[0]
         return -np.einsum("bac,b->ac", C, Av) @ lam_in
 
     if scheme == "euler_paper":
@@ -305,21 +328,22 @@ def reference_step(g, state, A, v, ds, scheme, renormalize):
         norm1 = np.linalg.norm(lam_new)
         if norm1 > 0:
             lam_new = lam_new * (np.linalg.norm(lam) / norm1)
-    return ca.CharacteristicState(state.s + ds, tuple(x + ds * v), la.DualVector(tuple(lam_new)))
+    return lam_new
 
 
-def hand_loop(step_fn, g, lam0, A, v, ds, s_end, scheme, renormalize):
-    """integrate's loop, one independent step call at a time."""
-    state = ca.CharacteristicState(0.0, (0.0,) * len(v), lam0)
-    states = [state]
+def reference_loop(g, lam0, A, v, ds, s_end, scheme, renormalize):
+    """integrate's recursion one state at a time, with a tensor built entry by
+    entry and the base point advanced by repeated addition."""
+    C = structure_tensor_loop(g)
+    v = np.array(v, dtype=float)
+    s, x, lam = [0.0], [np.zeros(len(v))], [np.array([float(c) for c in lam0.coeffs])]
     n_full = int(s_end / ds)
-    for _ in range(n_full):
-        state = step_fn(g, state, A, v, ds, scheme, renormalize)
-        states.append(state)
     rem = s_end - n_full * ds
-    if rem > 1e-15 * max(1.0, abs(s_end)):
-        states.append(step_fn(g, state, A, v, rem, scheme, renormalize))
-    return states
+    for h in [ds] * n_full + ([rem] if rem > 1e-15 * max(1.0, abs(s_end)) else []):
+        lam.append(reference_step(C, lam[-1], A, x[-1], v, h, scheme, renormalize))
+        s.append(s[-1] + h)
+        x.append(x[-1] + h * v)
+    return np.array(s), np.array(x), np.array(lam)
 
 
 def unit(w):
@@ -350,7 +374,7 @@ def test_structure_tensor_matches_entrywise_conversion(name):
     st.integers(1, 12),
     st.floats(0.05, 0.95),
 )
-def test_shared_generators_change_no_bits(name, scheme, renorm, a, lam, ds, n, frac):
+def test_integrate_matches_reference_loop(name, scheme, renorm, a, lam, ds, n, frac):
     if name == "monopole":
         g = la.preset("abelian1")
         A = ca.ConnectionSampler.wu_yang_monopole(a[0])
@@ -361,24 +385,33 @@ def test_shared_generators_change_no_bits(name, scheme, renorm, a, lam, ds, n, f
         lam0, v = la.DualVector(lam), (1.0,)
     s_end = (n + frac) * ds  # ends on a shortened step
     got = ca.integrate(g, lam0, A, v, ds, s_end, scheme, renorm)
-    assert len(got) == n + 2
-    for step_fn in (ca.step, reference_step):
-        want = hand_loop(step_fn, g, lam0, A, v, ds, s_end, scheme, renorm)
-        assert [(s.s, s.x, s.lam) for s in got] == [(s.s, s.x, s.lam) for s in want]
+    assert len(got[0]) == n + 2
+    want = reference_loop(g, lam0, A, v, ds, s_end, scheme, renorm)
+    for got_arr, want_arr in zip(got, want):
+        assert np.array_equal(got_arr, want_arr)
 
 
-@pytest.mark.parametrize("scheme, per_step", [("euler_paper", 1), ("rk4", 2)])
-def test_one_contraction_per_distinct_point(su2, scheme, per_step):
-    calls = []
+@pytest.mark.parametrize("scheme", ["euler_paper", "rk4"])
+def test_integrate_step_and_sample_counts(monkeypatch, su2, scheme):
+    # The benchmark tracer counts cartan.step calls as steps.
+    steps, calls = [], []
+    real_step = ca.step
+
+    def counting_step(*args):
+        steps.append(args[1])
+        return real_step(*args)
 
     def sample(x, mu):
-        calls.append(x)
-        return E3
+        calls.append(x.copy())
+        return np.array(E3.coeffs)
 
-    A = ca.ConnectionSampler(3, sample)
-    states = ca.integrate(su2, LAM0, A, (1.0,), 0.01, 0.5, scheme)
-    steps = len(states) - 1
-    # RK4 contracts at the midpoint and the end point; the end point is the
-    # next step's start, so only the first step contracts at its start too.
-    assert len(calls) == per_step * steps + (scheme == "rk4")
-    assert len(set(calls)) == len(calls)
+    monkeypatch.setattr(ca, "step", counting_step)
+    v = (1.0, 0.5)
+    s, x, _ = ca.integrate(su2, LAM0, ca.ConnectionSampler(3, sample), v, 0.01, 0.505, scheme)
+    assert len(steps) == len(s) - 1
+    # one call per direction at the states, and one more at the midpoints for rk4
+    assert len(calls) == len(v) * (1 + (scheme == "rk4"))
+    for points in calls[: len(v)]:
+        assert np.array_equal(points, x)
+    for points in calls[len(v):]:
+        assert np.allclose(points, (x[:-1] + x[1:]) / 2, rtol=0, atol=1e-15)

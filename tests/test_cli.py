@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spencerflow import cli
+from spencerflow import cartan, cli
 from spencerflow import euler2d as eu
 from spencerflow import invariants as inv
 
@@ -68,6 +68,29 @@ class TestLie:
         assert rc == 0
         doc = json.loads(out)
         assert doc["terms"] == {"1,1": "-2", "2,2": "2"}
+
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            (["--tensor", "5"], "--tensor"),
+            (["--tensor", "[]"], "--tensor"),
+            (["--tensor", "[[[9], 1, 1]]"], "--tensor"),
+            (["--tensor", "[[[0], 1, 0]]"], "--tensor"),
+            (["--tensor", "[[[0], 1.5, 1]]"], "--tensor"),
+            (["--tensor", "{not json"], "--tensor"),
+            (["--tensor", "[[[0], 1, 1], [[0, 1], 1, 1]]"], "--tensor"),
+            (["--tensor", "[[[0], 1, 1]]", "--kind", "curvature", "--omega", "1,2"], "--omega"),
+            (["--tensor", "[[[0], 1, 1]]", "--kind", "curvature", "--omega", "1,x,2"], "--omega"),
+        ],
+        ids=["scalar", "empty", "index-past-dim", "zero-denominator", "float-numerator",
+             "not-json", "mixed-degree", "short-omega", "bad-omega"],
+    )
+    def test_bad_delta_input_is_config_error(self, capsys, extra, field):
+        rc, out, err = run_cli(capsys, ["lie", "delta", "--algebra", "su2", *extra])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("config error: ")
+        assert field in err
 
     def test_unknown_algebra_is_config_error(self, capsys):
         rc, _, err = run_cli(capsys, ["lie", "verify", "--algebra", "g2"])
@@ -318,6 +341,47 @@ def test_invalid_cartan_config_never_raises(tmp_path_factory, doc, extra):
     path = tmp_path_factory.mktemp("cfg") / "c.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["--json", "cartan", "--config", str(path), *extra]) in (1, 2)
+
+
+class TestExitCodeBoundary:
+    """Bad input is exit 1 where it is loaded; anything else is not a config error."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lie", "betti", "--algebra", "su2", "--base", "a,1"], "base must be"),
+            (["lie", "cohomology", "--algebra", "su2", "--p", "-1"], "p=-1"),
+            (["euler", "gaussian", "--N", "100"], "N must be a power of two"),
+        ],
+        ids=["betti-base", "cohomology-p", "euler-N"],
+    )
+    def test_load_site_errors_are_config_errors(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("0,1,1,x", "could not convert"), ("0,1,1,nan", "non-finite"), ("0,1,1", "3 fields")],
+        ids=["not-a-number", "non-finite", "short-row"],
+    )
+    def test_bad_csv_record_is_config_error(self, capsys, tmp_path, row, message):
+        path = tmp_path / "inv.csv"
+        path.write_text(f"t,I0,I2,div_max\n{row}\n1,1,1,1\n")
+        rc, out, err = run_cli(capsys, ["report", "--csv", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"config error: {path} line 2: ") and message in err
+
+    def test_internal_value_error_propagates(self, monkeypatch, tmp_path):
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(cartan, "integrate", broken)
+        cfg = TestCartan.write_config(tmp_path / "c.json", s_end=0.01)
+        with pytest.raises(ValueError, match="internal failure"):
+            cli.main(["cartan", "--config", str(cfg)])
 
 
 class TestModuleEntry:
