@@ -166,8 +166,9 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
     h = [ds] * n_full + ([rem] if rem > 1e-15 * max(1.0, abs(s_end)) else [])
     s = np.cumsum([0.0] + h)
     x = np.cumsum(np.concatenate([np.zeros((1, len(v))), np.multiply.outer(h, v)]), axis=0)
-    if not np.isfinite(x[-1]).all():  # each coordinate of x is monotone in s
-        raise CFLViolation(f"the base point leaves float64 before s={s_end}")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise CFLViolation(f"the base point leaves float64 at s={s[bad[0]]}")
 
     Av = A.contract(x, v)
     bound = cfl_bound(C, Av[:-1])

@@ -60,10 +60,9 @@ def _load_algebra(name_or_path):
     except (KeyError, ValueError):
         pass
     if os.path.exists(name_or_path):
-        doc = _load_json(name_or_path)
         try:
-            return liealg.from_json(doc)
-        except ValueError as exc:
+            return liealg.from_json(_load_json(name_or_path))
+        except ValueError as exc:  # also the ConfigError of malformed JSON
             raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown algebra {name_or_path!r} (not a preset or file)")
 
@@ -153,6 +152,7 @@ def load_euler_config(doc):
     return grid, vortices, curves, dt, t_end, output_every
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise instead
 def simulate(doc, snapshot_cb=None):
     """Run a vorticity-transport simulation from a config document.
 
@@ -163,18 +163,21 @@ def simulate(doc, snapshot_cb=None):
     step that moves the vorticity and the markers together.
     """
     grid, vortices, curves, dt_conf, t_end, output_every = load_euler_config(doc)
-    zeta = euler2d.gaussian_vorticity(
-        grid,
-        [(x, y) for x, y, _, _ in vortices],
-        [alpha for _, _, alpha, _ in vortices],
-        [sigma for _, _, _, sigma in vortices],
-    )
-    ends = np.cumsum([len(c.points) for c in curves])[:-1]
-    points = np.concatenate([c.points for c in curves] or [euler2d.NO_POINTS])
     t = 0.0
     step = 0
-    first = euler2d.stage(grid, zeta.spectrum(), points)  # (tendency, u, marker u)
-    records = [invariants.phi_triple(zeta, *first[1:], curves, t=t)]
+    try:  # finite config values can still overflow the initial state
+        zeta = euler2d.gaussian_vorticity(
+            grid,
+            [(x, y) for x, y, _, _ in vortices],
+            [alpha for _, _, alpha, _ in vortices],
+            [sigma for _, _, _, sigma in vortices],
+        )
+        ends = np.cumsum([len(c.points) for c in curves])[:-1]
+        points = np.concatenate([c.points for c in curves] or [euler2d.NO_POINTS])
+        first = euler2d.stage(grid, zeta.spectrum(), points)  # (tendency, u, marker u)
+        records = [invariants.phi_triple(zeta, *first[1:], curves, t=t)]
+    except ValueError as exc:
+        raise ConfigError(f"the initial state of the config is not finite: {exc}") from exc
     if snapshot_cb:
         snapshot_cb(0, t, zeta, curves)
     while t < t_end * (1 - 1e-12):
@@ -206,7 +209,8 @@ def write_invariant_csv(path, records, labels):
 
 def read_invariant_csv(path):
     with open(path, errors="replace") as fh:  # bytes that are not text fail the parse
-        header = fh.readline().strip().split(",")
+        # a run with no curves writes the header with a trailing comma
+        header = fh.readline().strip().removesuffix(",").split(",")
         if header[:4] != ["t", "I0", "I2", "div_max"]:
             raise ConfigError(f"unexpected CSV header in {path}")
         labels = [h[len("circ_"):] for h in header[4:]]

@@ -343,6 +343,9 @@ def test_invalid_cartan_config_never_raises(tmp_path_factory, doc, extra):
     assert cli.main(["--json", "cartan", "--config", str(path), *extra]) in (1, 2)
 
 
+HUGE_VORTEX = {"x": 3.0, "y": 3.0, "alpha": 1e308, "sigma": 0.7}
+
+
 class TestExitCodeBoundary:
     """Bad input is exit 1 where it is loaded; anything else is not a config error."""
 
@@ -373,6 +376,25 @@ class TestExitCodeBoundary:
         assert rc == 1
         assert out == ""
         assert err.startswith(f"config error: {path} line 2: ") and message in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"vortices": [HUGE_VORTEX] * 2}, "non-finite vorticity values"),
+            ({"vortices": [HUGE_VORTEX]}, "non-finite invariant record"),
+            ({"curves": [{"cx": 1e308, "cy": 3.0, "radius": 1e308}]}, "non-finite evaluation point"),
+        ],
+        ids=["vorticity", "record", "curve"],
+    )
+    def test_finite_values_that_overflow_are_config_errors(
+        self, capsys, tmp_path, overrides, message
+    ):
+        cfg = TestEuler.write_config(tmp_path / "e.json", **overrides)
+        rc, out, err = run_cli(capsys, ["euler", "run", "--config", str(cfg)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("config error: ") and message in err
+        assert "Warning" not in err
 
     def test_internal_value_error_propagates(self, monkeypatch, tmp_path):
         def broken(*args, **kwargs):
@@ -647,11 +669,13 @@ BAD_EULER = {
         "x", 0, None, {}, [0], ["x"], [None], [[]], [{"x": 3.0}], [dict(VORTEX, typo=1)],
         *([dict(VORTEX, **{key: bad})] for key in VORTEX for bad in NOT_NUMBERS),
         [dict(VORTEX, sigma=0)], [dict(VORTEX, sigma=-0.7)],
+        [dict(VORTEX, alpha=1e308)], [dict(VORTEX, alpha=1e308)] * 2,
     ],
     "curves": [
         "x", 0, None, {}, [0], [None], [[]], [{"cx": 3.0}], [dict(CURVE, typo=1)],
         *([dict(CURVE, **{key: bad})] for key in CURVE for bad in NOT_NUMBERS),
         *([dict(CURVE, M=M)] for M in [0, 7, -16, 16.5, True]),
+        [dict(CURVE, cx=1e308, radius=1e308)],
     ],
     "typo": [1],
 }
@@ -714,6 +738,20 @@ class TestReport:
         golden = open(os.path.join(DATA, "golden_invariants.csv"), "rb").read()
         assert (outdir / "invariants.csv").read_bytes() == golden
 
+    def test_run_without_curves_reads_back(self, capsys, tmp_path):
+        cfg = TestEuler.write_config(tmp_path / "c.json", curves=[], vortices=[VORTEX])
+        outdir = tmp_path / "out"
+        rc, run_out, _ = run_cli(
+            capsys, ["--json", "--out", str(outdir), "euler", "run", "--config", str(cfg)]
+        )
+        assert rc == 0
+        rc, out, err = run_cli(
+            capsys, ["--json", "report", "--csv", str(outdir / "invariants.csv")]
+        )
+        assert (rc, err) == (0, "")
+        assert out == run_out
+        assert set(json.loads(out)) == {"I0", "I2"}
+
     def test_truncated_csv_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "inv.csv"
         path.write_text("t,I0,I2,div_max\n0,1,1,0\n")
@@ -739,7 +777,7 @@ def invariant_series(curves):
     return st.lists(record, min_size=2, max_size=6)
 
 
-@given(st.integers(1, 3).flatmap(invariant_series))
+@given(st.integers(0, 3).flatmap(invariant_series))
 def test_invariant_csv_round_trips(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("csv") / "invariants.csv"
     labels = [f"v{i}" for i in range(len(records[0].I1))]

@@ -1,6 +1,4 @@
-"""Hypothesis properties of the Euler spectral core and the Spencer complex."""
-
-from fractions import Fraction
+"""Hypothesis properties of the Euler spectral core."""
 
 import numpy as np
 from hypothesis import given
@@ -8,8 +6,6 @@ from hypothesis import strategies as st
 
 from spencerflow import euler2d as eu
 from spencerflow import invariants as inv
-from spencerflow import liealg as la
-from spencerflow import spencer as sp
 
 sizes = st.sampled_from([16, 32, 64])
 seeds = st.integers(0, 2**32 - 1)
@@ -53,23 +49,3 @@ def test_operator_set_is_shared_and_read_only(N, L):
     assert inv_k2[0, 0] == 0.0 and np.array_equal(inv_k2.ravel()[1:], 1.0 / k2[1:])
     for arr in ops:
         assert not arr.flags.writeable
-
-
-rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
-
-
-@st.composite
-def sym_tensors(draw, dim):
-    """A random rational element of Sym^k(g), k = 1..3."""
-    degree = draw(st.integers(1, 3))
-    index = st.lists(st.integers(0, dim - 1), min_size=degree, max_size=degree)
-    terms = draw(st.dictionaries(index.map(lambda i: tuple(sorted(i))), rationals, max_size=6))
-    return sp.SymTensor(dim, degree, terms)
-
-
-# sl2 is left out: its delta^2(h) is nonzero, and criterion 10 pins that value.
-@given(st.sampled_from(["su2", "so3"]), sym_tensors(3))
-def test_structural_delta_squares_to_zero(name, X):
-    g = la.preset(name)
-    dd = sp.spencer_delta_structural(g, sp.spencer_delta_structural(g, X))
-    assert dd == sp.SymTensor.zero(3, X.degree + 2)

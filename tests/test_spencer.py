@@ -122,6 +122,11 @@ class TestNilpotency:
     def test_su2_all_zero_to_degree_three(self, su2):
         assert sp.nilpotency_report(su2, 3) == {1: 0, 2: 0, 3: 0}
 
+    def test_so3_all_zero_to_degree_three(self):
+        # delta vanishes on the monomial basis of the compact bases, so by
+        # linearity delta^2 = 0 holds on every tensor of these degrees
+        assert sp.nilpotency_report(la.preset("so3"), 3) == {1: 0, 2: 0, 3: 0}
+
     def test_abelian_all_zero(self, ab2):
         assert sp.nilpotency_report(ab2, 3) == {1: 0, 2: 0, 3: 0}
 
