@@ -158,9 +158,9 @@ def simulate(doc, snapshot_cb=None):
 
     Returns (records, curves_final). snapshot_cb(step, t, zeta, curves), when
     given, is invoked at every recorded snapshot. Each vorticity state gets
-    one stage evaluation, with the markers stacked into one point array: it
-    feeds the state's record, the auto dt and its CFL gate, and k1 of the RK4
-    step that moves the vorticity and the markers together.
+    one rfft2 and one stage evaluation, with the markers stacked into one
+    point array: they feed the state's record, the auto dt and its CFL gate,
+    and k1 of the RK4 step that moves the vorticity and the markers together.
     """
     grid, vortices, curves, dt_conf, t_end, output_every = load_euler_config(doc)
     t = 0.0
@@ -174,14 +174,15 @@ def simulate(doc, snapshot_cb=None):
         )
         ends = np.cumsum([len(c.points) for c in curves])[:-1]
         points = np.concatenate([c.points for c in curves] or [euler2d.NO_POINTS])
-        first = euler2d.stage(grid, zeta.spectrum(), points)  # (tendency, u, marker u)
-        records = [invariants.phi_triple(zeta, *first[1:], curves, t=t)]
+        zhat = zeta.spectrum()
+        first = (zhat, *euler2d.stage(grid, zhat, points))  # (zhat, tendency, u, marker u)
+        records = [invariants.phi_triple(zeta, *first[2:], curves, t=t)]
     except ValueError as exc:
         raise ConfigError(f"the initial state of the config is not finite: {exc}") from exc
     if snapshot_cb:
         snapshot_cb(0, t, zeta, curves)
     while t < t_end * (1 - 1e-12):
-        dt = first[1].cfl_dt() if dt_conf == "auto" else dt_conf
+        dt = first[2].cfl_dt() if dt_conf == "auto" else dt_conf
         if not math.isfinite(dt):
             dt = t_end - t
         dt = min(dt, t_end - t)
@@ -191,9 +192,10 @@ def simulate(doc, snapshot_cb=None):
         curves = [
             euler2d.MarkerCurve(c.label, p) for c, p in zip(curves, np.split(points, ends))
         ]
-        first = euler2d.stage(grid, zeta.spectrum(), points)
+        zhat = zeta.spectrum()
+        first = (zhat, *euler2d.stage(grid, zhat, points))
         if step % output_every == 0 or t >= t_end * (1 - 1e-12):
-            records.append(invariants.phi_triple(zeta, *first[1:], curves, t=t))
+            records.append(invariants.phi_triple(zeta, *first[2:], curves, t=t))
             if snapshot_cb:
                 snapshot_cb(step, t, zeta, curves)
     return records, curves

@@ -15,7 +15,10 @@ import numpy as np
 
 from . import CFLViolation
 
-BLOCK = 2048  # marker points per block of the direct Fourier sum in point_values
+# marker points per block of the direct Fourier sum in point_values: at N = 256
+# a block's phases and matmul product (0.35 MB each) and the 0.5 MB coefficient
+# matrix stay in L2, and the block arrays reuse freed heap instead of new pages
+BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -135,26 +138,34 @@ def velocity_from_vorticity(zeta):
 def point_values(grid, fhat, points):
     """Values at the (P, 2) points of the real fields whose rfft2 spectra are
     listed in fhat, as a (P, len(fhat)) array: the direct Fourier sum over the
-    2/3 band, exact up to rounding for fields inside it. Each block of BLOCK
-    points costs two complex matmuls, exp(i kx x) @ coefficients, then the
-    product with exp(i ky y) summed over ky: O(P N^2) work in all."""
+    2/3 band, exact up to rounding for fields inside it, in O(P N^2) work. With
+    each kx = m row folded with its -m mirror into cos(m x) and sin(m x) rows, a
+    block of points costs one real matmul and one batched product over ky."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
         raise ValueError("non-finite evaluation point")
-    mask = _spectral_ops(grid)[3]
-    rows, cols = mask[:, 0], mask[0]
-    n = int(np.sum(cols))  # ky = 0 .. n-1; kx = 0 .. n-1, then -(n-1) .. -1
-    # each ky > 0 column also stands for its conjugate mirror
-    weight = np.where(np.arange(n) > 0, 2.0, 1.0) / grid.N**2
-    coef = np.concatenate([f[np.ix_(rows, cols)] * weight for f in fhat], axis=1)
+    n = int(np.sum(_spectral_ops(grid)[3][0]))  # the band is |kx|, ky <= n - 1
+    m = np.arange(n)
+    # a ky > 0 column also stands for its conjugate mirror (x2); the kx = 0 row
+    # meets itself in pos + neg below, so it is halved
+    w = np.where(m > 0, 2.0, 1.0)
+    w = np.outer(w, w)[:, None] / (2.0 * grid.N**2)
+    pos, neg = (np.stack([f[k, :n] for f in fhat], axis=1) * w for k in (m, -m))
+    # rows (m, cos | sin), columns (field, ky, Re | -Im) of the folded sum
+    coef = np.conj(np.stack([pos + neg, 1j * (pos - neg)], 1)).reshape(2 * n, -1).view(float)
     out = np.empty((len(pts), len(fhat)))
     for s in range(0, len(pts), BLOCK):
         theta = np.mod(pts[s : s + BLOCK], grid.L) * (2.0 * math.pi / grid.L)
-        e = np.repeat(np.exp(1j * theta)[:, :, None], n, axis=2)
-        e[:, :, 0] = 1.0
-        ex, ey = np.moveaxis(np.cumprod(e, axis=2), 1, 0)  # exp(i m x), exp(i m y)
-        a = np.concatenate([ex, np.conj(ex[:, :0:-1])], axis=1) @ coef
-        out[s : s + BLOCK] = np.real(a.reshape(len(a), len(fhat), n) @ ey[:, :, None])[:, :, 0]
+        e = np.empty(theta.shape + (n,), dtype=complex)  # exp(i m x), exp(i m y)
+        e[..., :2] = np.exp(1j * theta[..., None] * m[:2])
+        h = 2
+        while h < n:  # double the known powers: exp(i (h + j) t) = exp(i j t) exp(i h t)
+            j = min(h, n - h)
+            np.multiply(e[..., :j], e[..., h - 1 : h] * e[..., 1:2], out=e[..., h : h + j])
+            h += j
+        c = e.view(np.float64)  # (points, 2, 2n): cos m t and sin m t interleaved
+        a = (c[:, 0] @ coef).reshape(len(c), len(fhat), 2 * n)
+        out[s : s + BLOCK] = (a @ c[:, 1, :, None])[:, :, 0]
     return out
 
 
@@ -181,14 +192,14 @@ NO_POINTS.flags.writeable = False
 def rk4_step(zeta, dt, points=NO_POINTS, first=None):
     """Classical 4-stage step of the vorticity transport equation and of the
     (P, 2) marker points it carries, both through the same stage velocities.
-    first is stage(grid, zeta.spectrum(), points) when the caller has it.
-    Raises CFLViolation when dt exceeds the advective bound of zeta; returns
-    (zeta, points), the points wrapped into the fundamental domain."""
+    first is (zhat, *stage(grid, zhat, points)) for zhat = zeta.spectrum()
+    when the caller has it. Raises CFLViolation when dt exceeds the advective
+    bound of zeta; returns (zeta, points), the points wrapped into the domain."""
     if dt == 0.0:
         return zeta, points
     g = zeta.grid
-    zhat = zeta.spectrum()
-    k1, u, p1 = stage(g, zhat, points) if first is None else first
+    zhat = zeta.spectrum() if first is None else first[0]
+    k1, u, p1 = stage(g, zhat, points) if first is None else first[1:]
     if dt > u.cfl_dt():
         raise CFLViolation(f"dt={dt} exceeds the advective bound {u.cfl_dt()}")
     k2, _, p2 = stage(g, zhat + dt / 2 * k1, points + dt / 2 * p1)
@@ -230,8 +241,12 @@ def dump_field(path, grid, values, t, quantity):
 
 
 def load_field(path):
-    with open(str(path) + ".json") as fh:
-        sidecar = json.load(fh)
-    dtype = "<i8" if sidecar["quantity"] == "strata" else "<f8"
-    values = np.fromfile(str(path), dtype=dtype).reshape(sidecar["N"], sidecar["N"])
+    """(sidecar, values) of a dumped field; an OSError names a malformed file."""
+    try:
+        with open(str(path) + ".json") as fh:
+            sidecar = json.load(fh)
+        dtype = "<i8" if sidecar["quantity"] == "strata" else "<f8"
+        values = np.fromfile(str(path), dtype=dtype).reshape(sidecar["N"], sidecar["N"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise OSError(f"{path}: not a valid field file: {exc!r}") from exc
     return sidecar, values

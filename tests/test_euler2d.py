@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -350,6 +351,42 @@ class TestFieldIO:
         sidecar, back = eu.load_field(path)
         assert back.dtype == np.int64
         assert np.array_equal(back, labels)
+
+    @staticmethod
+    def dumped(tmp_path):
+        path = tmp_path / "zeta.f64"
+        eu.dump_field(path, eu.GridSpec(16), np.zeros((16, 16)), 0.0, "vorticity")
+        return path
+
+    @staticmethod
+    def assert_io_error_names(path):
+        with pytest.raises(OSError) as err:
+            eu.load_field(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("kept_bytes", [12 * 8, None])
+    def test_truncated_or_missing_payload_is_an_io_error(self, tmp_path, kept_bytes):
+        path = self.dumped(tmp_path)
+        if kept_bytes is None:
+            path.unlink()
+        else:
+            path.write_bytes(path.read_bytes()[:kept_bytes])
+        self.assert_io_error_names(path)
+
+    @pytest.mark.parametrize("key", ["N", "quantity"])
+    def test_sidecar_without_a_key_is_an_io_error(self, tmp_path, key):
+        path = self.dumped(tmp_path)
+        sidecar = tmp_path / "zeta.f64.json"
+        doc = json.loads(sidecar.read_text())
+        del doc[key]
+        sidecar.write_text(json.dumps(doc))
+        self.assert_io_error_names(path)
+
+    @pytest.mark.parametrize("text", ['{"N": 16, "quantity": ', "[16]"])
+    def test_sidecar_that_is_not_a_json_object_is_an_io_error(self, tmp_path, text):
+        path = self.dumped(tmp_path)
+        (tmp_path / "zeta.f64.json").write_text(text)
+        self.assert_io_error_names(path)
 
 
 class TestSpectrumReality:

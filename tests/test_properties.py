@@ -49,3 +49,48 @@ def test_operator_set_is_shared_and_read_only(N, L):
     assert inv_k2[0, 0] == 0.0 and np.array_equal(inv_k2.ravel()[1:], 1.0 / k2[1:])
     for arr in ops:
         assert not arr.flags.writeable
+
+
+def band_spectra(grid, rng, count):
+    """count random rfft2 spectra of real fields inside the 2/3 band, each
+    with its corner modes (kx, ky) = (+-(n-1), n-1) set to a nonzero value."""
+    n = grid.N // 3 + 1
+    spectra = []
+    for _ in range(count):
+        f = np.fft.rfft2(rng.standard_normal((grid.N, grid.N))) * eu._spectral_ops(grid)[3]
+        f[[n - 1, -(n - 1)], n - 1] = grid.N * (rng.standard_normal(2) + 1j)
+        spectra.append(f)
+    return spectra
+
+
+def direct_sum(grid, fhat, points):
+    """The same values as a plain complex sum over the full (kx, ky) band,
+    with exp of the whole phase at each point: no folding, no recurrence."""
+    N = grid.N
+    k = 2.0 * np.pi * np.fft.fftfreq(N, d=grid.dx)
+    band = np.abs(np.fft.fftfreq(N, d=1.0 / N)) <= N / 3.0
+    k = k[band]
+    phase = np.exp(1j * (points[:, 0, None, None] * k[:, None] + points[:, 1, None, None] * k))
+    out = []
+    for f in fhat:
+        full = np.fft.fft2(np.fft.irfft2(f, s=(N, N)))[np.ix_(band, band)] / N**2
+        out.append((np.real(np.sum(phase * full, axis=(1, 2))), np.sum(np.abs(full))))
+    return out
+
+
+@given(
+    sizes,
+    lengths,
+    seeds,
+    st.integers(1, 3),
+    st.sampled_from([0, 1, eu.BLOCK - 1, eu.BLOCK, eu.BLOCK + 1]),
+)
+def test_point_values_match_the_direct_sum(N, L, seed, count, P):
+    grid = eu.GridSpec(N, L)
+    rng = np.random.default_rng(seed)
+    fhat = band_spectra(grid, rng, count)
+    points = rng.uniform(-2.0 * L, 3.0 * L, size=(P, 2))
+    values = eu.point_values(grid, fhat, points)
+    assert values.shape == (P, count)
+    for col, (ref, scale) in zip(values.T, direct_sum(grid, fhat, points)):
+        assert np.max(np.abs(col - ref), initial=0.0) <= 1e-12 * scale
