@@ -6,19 +6,32 @@ Spectra live on the rfft2 half-plane. Quadratic terms are dealiased with the
 2/3 rule, and every velocity is the velocity of the dealiased vorticity.
 """
 
+import collections
+import contextvars
 import functools
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import CFLViolation
 
-# marker points per block of the direct Fourier sum in point_values: at N = 256
-# a block's phases and matmul product (0.35 MB each) and the 0.5 MB coefficient
-# matrix stay in L2, and the block arrays reuse freed heap instead of new pages
-BLOCK = 128
+# marker points per block of the direct Fourier sum in point_values. In a stage
+# the helper thread and the caller each take a block at a time beside the grid
+# FFTs, so the block arrays add to the grid part's: at N = 256 a block's phases
+# and matmul product take 0.18 MB each next to the 0.5 MB coefficient matrix
+# (at 128 points the peak RSS of a multivortex run was 0.45 MB higher)
+BLOCK = 64
+# the smallest grid whose stages run the marker sum on the helper thread. Below
+# it each numpy call of either part takes tens of microseconds, and the GIL
+# changing hands at every call costs more than the overlap saves: on a 2-core
+# host, N = 128 stages were no faster with the helper for 128 to 2048 points
+# and N = 64 stages slower, while N = 256 stages were faster for 0 to 768
+# points and N = 512 stages for 128
+OVERLAP_N = 256
 
 
 @dataclass(frozen=True)
@@ -119,20 +132,23 @@ class MarkerCurve:
         return MarkerCurve(label, pts)
 
 
-def _velocity(grid, zhat):
-    """The one psi inversion: the (u_x, u_y) spectra of the vorticity
-    spectrum zhat and the velocity on the grid. The k=0 mode of psi is zero
-    (a constant vorticity offset produces no velocity)."""
+def _velocity_spectrum(grid, zhat):
+    """The one psi inversion: the (u_x, u_y) spectra of the vorticity spectrum
+    zhat. The k=0 mode of psi is zero (a constant vorticity offset produces no
+    velocity)."""
     kx, ky, inv_k2, _ = _spectral_ops(grid)
     psi_hat = zhat * inv_k2
-    uhat = (1j * ky * psi_hat, -1j * kx * psi_hat)
-    return uhat, VelocityField(grid, np.fft.irfft2(uhat[0]), np.fft.irfft2(uhat[1]))
+    return 1j * ky * psi_hat, -1j * kx * psi_hat
+
+
+def _grid_velocity(grid, uhat):
+    return VelocityField(grid, np.fft.irfft2(uhat[0]), np.fft.irfft2(uhat[1]))
 
 
 def velocity_from_vorticity(zeta):
     """The velocity of the dealiased zeta on the grid."""
     g = zeta.grid
-    return _velocity(g, zeta.spectrum() * _spectral_ops(g)[3])[1]
+    return _grid_velocity(g, _velocity_spectrum(g, zeta.spectrum() * _spectral_ops(g)[3]))
 
 
 def point_values(grid, fhat, points):
@@ -141,32 +157,155 @@ def point_values(grid, fhat, points):
     2/3 band, exact up to rounding for fields inside it, in O(P N^2) work. With
     each kx = m row folded with its -m mirror into cos(m x) and sin(m x) rows, a
     block of points costs one real matmul and one batched product over ky."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("non-finite evaluation point")
+    return _PointSum(grid, fhat, points).values()
+
+
+def _fold(grid, fhat):
+    """The coefficients of point_values: rows (m, cos | sin), columns (field,
+    ky, Re | -Im) of the folded sum, as a (2n, 2n len(fhat)) float array."""
     n = int(np.sum(_spectral_ops(grid)[3][0]))  # the band is |kx|, ky <= n - 1
     m = np.arange(n)
     # a ky > 0 column also stands for its conjugate mirror (x2); the kx = 0 row
     # meets itself in pos + neg below, so it is halved
     w = np.where(m > 0, 2.0, 1.0)
-    w = np.outer(w, w)[:, None] / (2.0 * grid.N**2)
-    pos, neg = (np.stack([f[k, :n] for f in fhat], axis=1) * w for k in (m, -m))
-    # rows (m, cos | sin), columns (field, ky, Re | -Im) of the folded sum
-    coef = np.conj(np.stack([pos + neg, 1j * (pos - neg)], 1)).reshape(2 * n, -1).view(float)
-    out = np.empty((len(pts), len(fhat)))
-    for s in range(0, len(pts), BLOCK):
-        theta = np.mod(pts[s : s + BLOCK], grid.L) * (2.0 * math.pi / grid.L)
-        e = np.empty(theta.shape + (n,), dtype=complex)  # exp(i m x), exp(i m y)
-        e[..., :2] = np.exp(1j * theta[..., None] * m[:2])
-        h = 2
-        while h < n:  # double the known powers: exp(i (h + j) t) = exp(i j t) exp(i h t)
-            j = min(h, n - h)
-            np.multiply(e[..., :j], e[..., h - 1 : h] * e[..., 1:2], out=e[..., h : h + j])
-            h += j
-        c = e.view(np.float64)  # (points, 2, 2n): cos m t and sin m t interleaved
-        a = (c[:, 0] @ coef).reshape(len(c), len(fhat), 2 * n)
-        out[s : s + BLOCK] = (a @ c[:, 1, :, None])[:, :, 0]
-    return out
+    w = np.outer(w, w) / (2.0 * grid.N**2)
+    coef = np.empty((n, 2, len(fhat), n), dtype=complex)
+    for i, f in enumerate(fhat):
+        pos = np.multiply(f[:n, :n], w, out=coef[:, 0, i])
+        neg = f[-m, :n] * w
+        np.subtract(pos, neg, out=coef[:, 1, i])
+        pos += neg
+    coef[:, 1] *= 1j
+    return np.conj(coef, out=coef).reshape(2 * n, -1).view(float)
+
+
+def _block_values(grid, coef, pts):
+    """point_values at one block of (B, 2) points, from _fold's coefficients."""
+    n = len(coef) // 2
+    theta = np.mod(pts, grid.L) * (2.0 * math.pi / grid.L)
+    e = np.empty(theta.shape + (n,), dtype=complex)  # exp(i m x), exp(i m y)
+    e[..., :2] = np.exp(1j * theta[..., None] * np.arange(2))
+    h = 2
+    while h < n:  # double the known powers: exp(i (h + j) t) = exp(i j t) exp(i h t)
+        j = min(h, n - h)
+        np.multiply(e[..., :j], e[..., h - 1 : h] * e[..., 1:2], out=e[..., h : h + j])
+        h += j
+    c = e.view(np.float64)  # (points, 2, 2n): cos m t and sin m t interleaved
+    a = (c[:, 0] @ coef).reshape(len(c), -1, 2 * n)
+    return (a @ c[:, 1, :, None])[:, :, 0]
+
+
+def _folded_block(grid, fold, pts):
+    return _block_values(grid, fold.result(), pts)
+
+
+class _PointSum:
+    """point_values as jobs that any thread may run: the folded coefficients,
+    then one job per block of points."""
+
+    def __init__(self, grid, fhat, points):
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("non-finite evaluation point")
+        self.shape = (len(pts), len(fhat))
+        self.fold = _Job(_fold, grid, fhat)
+        self.blocks = [
+            (s, _Job(_folded_block, grid, self.fold, pts[s : s + BLOCK]))
+            for s in range(0, len(pts), BLOCK)
+        ]
+
+    def jobs(self):
+        return [self.fold, *(job for _, job in self.blocks)] if self.blocks else []
+
+    def values(self):
+        """The (P, len(fhat)) values. Runs, from the last block back, every job
+        no thread has started, and waits for the ones another thread is on."""
+        out = np.empty(self.shape)
+        for s, job in reversed(self.blocks):
+            out[s : s + BLOCK] = job.result()
+        return out
+
+
+class _Job:
+    """fn(*args), run once by whichever thread claims it first, in the
+    creator's contextvars context, which holds numpy's errstate."""
+
+    def __init__(self, fn, *args):
+        self.ctx, self.fn, self.args = contextvars.copy_context(), fn, args
+        self.claimed = threading.Lock()
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.value = self.error = None
+
+    def run(self):
+        """Run the call in this thread, unless another thread has claimed it."""
+        if not self.claimed.acquire(blocking=False):
+            return
+        try:
+            self.value = self.ctx.run(self.fn, *self.args)
+        except BaseException as exc:  # re-raised by result()
+            self.error = exc
+        finally:
+            self.done.release()
+
+    def result(self):
+        """Run the call here if no thread has started it (the helper may be
+        busy, or its core taken by another process), else wait for it; return
+        its value or raise its exception. Any number of threads may ask."""
+        self.run()
+        with self.done:  # released again for the next reader
+            pass
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+class _Helper:
+    """One daemon thread, started on first use and kept for the life of the
+    process, that runs the submitted calls in order. numpy's FFTs, ufunc loops
+    and BLAS release the GIL, so a call handed to it overlaps the caller's own
+    numpy work on a second core."""
+
+    def __init__(self):
+        self.jobs = collections.deque()
+        self.pending = threading.Semaphore(0)
+        self.start = threading.Lock()
+        self.thread = None
+
+    def submit(self, *jobs):
+        if not jobs:
+            return
+        with self.start:
+            if self.thread is None:
+                self.thread = threading.Thread(
+                    target=self._serve, name="spencerflow-stage-helper", daemon=True
+                )
+                self.thread.start()
+        self.jobs.extend(jobs)
+        self.pending.release(len(jobs))
+
+    def _serve(self):
+        while True:
+            self.pending.acquire()
+            self.jobs.popleft().run()
+
+
+def _cpus():
+    """The number of CPUs this process may run on. On one CPU the two threads
+    only take turns, and a multivortex run was 18% slower with the helper."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _new_helper():
+    global _helper
+    _helper = _Helper()
+
+
+_new_helper()
+os.register_at_fork(after_in_child=_new_helper)  # a forked child has no helper thread
 
 
 def stage(grid, zhat, points):
@@ -174,15 +313,30 @@ def stage(grid, zhat, points):
     half-plane) and the (P, 2) marker points, from one psi inversion of the
     dealiased field: the tendency spectrum of -(u . grad) zeta, dealiased and
     with its mean mode pinned to zero (the nonlinear term is a flux
-    divergence); the velocity on the grid; the (P, 2) velocity at the points."""
+    divergence); the velocity on the grid; the (P, 2) velocity at the points.
+    From N = OVERLAP_N up and with two CPUs or more, the helper thread starts
+    on the marker sum, its coefficients first and then its blocks in order,
+    while this thread does the FFTs; then this thread runs the blocks the
+    helper has not started, from the last one back."""
     kx, ky, _, mask = _spectral_ops(grid)
     zhat = zhat * mask
-    uhat, u = _velocity(grid, zhat)
-    zx = np.fft.irfft2(1j * kx * zhat)
-    zy = np.fft.irfft2(1j * ky * zhat)
-    out = np.fft.rfft2(-(u.u_x * zx + u.u_y * zy)) * mask
-    out[0, 0] = 0.0
-    return out, u, point_values(grid, uhat, points)
+    uhat = _velocity_spectrum(grid, zhat)
+    markers = _PointSum(grid, uhat, points)
+    if grid.N >= OVERLAP_N and _cpus() > 1:
+        _helper.submit(*markers.jobs())
+    try:
+        u = _grid_velocity(grid, uhat)
+        zx = np.fft.irfft2(1j * kx * zhat)
+        zy = np.fft.irfft2(1j * ky * zhat)
+        zx *= u.u_x
+        zy *= u.u_y
+        zx += zy
+        out = np.fft.rfft2(np.negative(zx, out=zx))
+        out *= mask
+        out[0, 0] = 0.0
+    finally:
+        p = markers.values()
+    return out, u, p
 
 
 NO_POINTS = np.empty((0, 2))
@@ -205,8 +359,21 @@ def rk4_step(zeta, dt, points=NO_POINTS, first=None):
     k2, _, p2 = stage(g, zhat + dt / 2 * k1, points + dt / 2 * p1)
     k3, _, p3 = stage(g, zhat + dt / 2 * k2, points + dt / 2 * p2)
     k4, _, p4 = stage(g, zhat + dt * k3, points + dt * p3)
-    zeta = VorticityField(g, np.fft.irfft2(zhat + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)))
-    return zeta, np.mod(points + dt / 6 * (p1 + 2 * p2 + 2 * p3 + p4), g.L)
+    zeta = VorticityField(g, np.fft.irfft2(_rk4_sum(zhat, dt, k1, k2, k3, k4)))
+    return zeta, np.mod(_rk4_sum(points, dt, p1, p2, p3, p4), g.L)
+
+
+def _rk4_sum(y, dt, k1, k2, k3, k4):
+    """y + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed in k2 and scaling k3 in
+    place. IEEE + and * commute, so the bits equal the expression's."""
+    k2 *= 2
+    k2 += k1
+    k3 *= 2
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6
+    k2 += y
+    return k2
 
 
 def gaussian_vorticity(grid, centers, alphas, sigmas):
@@ -233,7 +400,7 @@ def gaussian_vorticity(grid, centers, alphas, sigmas):
 
 def dump_field(path, grid, values, t, quantity):
     arr = np.ascontiguousarray(values)
-    arr.astype("<f8" if arr.dtype.kind == "f" else "<i8").tofile(str(path))
+    arr.astype("<f8" if arr.dtype.kind == "f" else "<i8", copy=False).tofile(str(path))
     sidecar = {"N": grid.N, "L": grid.L, "t": t, "quantity": quantity}
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh)

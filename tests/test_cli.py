@@ -408,18 +408,31 @@ class TestExitCodeBoundary:
 
 class TestModuleEntry:
     @staticmethod
-    def run_module(*argv):
+    def run_python(*args):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
         return subprocess.run(
-            [sys.executable, "-m", "spencerflow", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
         )
+
+    def run_module(self, *argv):
+        return self.run_python("-m", "spencerflow", *argv)
 
     def test_python_m_runs_the_cli(self):
         proc = self.run_module("--json", "lie", "cohomology", "--algebra", "su2")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["dims"] == [1, 0, 0, 1]
+
+    def test_import_loads_no_executor_modules(self):
+        # concurrent.futures adds 10-13 ms and queue about 2 ms to start-up;
+        # the stage's helper thread needs neither
+        proc = self.run_python(
+            "-c",
+            "import sys, spencerflow.cli\n"
+            "print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_python_m_passes_the_exit_code(self, tmp_path):
         proc = self.run_module("cartan", "--config", str(tmp_path / "absent.json"))

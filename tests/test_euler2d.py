@@ -1,6 +1,12 @@
 import dataclasses
 import json
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +202,222 @@ class TestTimeStepping:
         e2 = np.max(np.abs(m - f))
         order = math.log2(e1 / e2) if e2 > 0 else 4.0
         assert order >= 3.7
+
+
+def reference_point_values(grid, fhat, points):
+    """The folded direct sum of point_values, written out in one loop over
+    blocks of BLOCK points on this thread."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    n = int(np.sum(eu._spectral_ops(grid)[3][0]))
+    m = np.arange(n)
+    w = np.where(m > 0, 2.0, 1.0)
+    w = np.outer(w, w)[:, None] / (2.0 * grid.N**2)
+    pos, neg = (np.stack([f[k, :n] for f in fhat], axis=1) * w for k in (m, -m))
+    coef = np.conj(np.stack([pos + neg, 1j * (pos - neg)], 1)).reshape(2 * n, -1).view(float)
+    out = np.empty((len(pts), len(fhat)))
+    for s in range(0, len(pts), eu.BLOCK):
+        theta = np.mod(pts[s : s + eu.BLOCK], grid.L) * (2.0 * math.pi / grid.L)
+        e = np.empty(theta.shape + (n,), dtype=complex)
+        e[..., :2] = np.exp(1j * theta[..., None] * m[:2])
+        h = 2
+        while h < n:
+            j = min(h, n - h)
+            np.multiply(e[..., :j], e[..., h - 1 : h] * e[..., 1:2], out=e[..., h : h + j])
+            h += j
+        c = e.view(np.float64)
+        a = (c[:, 0] @ coef).reshape(len(c), len(fhat), 2 * n)
+        out[s : s + eu.BLOCK] = (a @ c[:, 1, :, None])[:, :, 0]
+    return out
+
+
+def serial_stage(grid, zhat, points):
+    """The stage as one expression per step on this thread, with the marker
+    sum computed inline: the reference for the stage's helper thread."""
+    kx, ky, inv_k2, mask = eu._spectral_ops(grid)
+    zhat = zhat * mask
+    psi_hat = zhat * inv_k2
+    uhat = (1j * ky * psi_hat, -1j * kx * psi_hat)
+    u_x, u_y = np.fft.irfft2(uhat[0]), np.fft.irfft2(uhat[1])
+    zx = np.fft.irfft2(1j * kx * zhat)
+    zy = np.fft.irfft2(1j * ky * zhat)
+    out = np.fft.rfft2(-(u_x * zx + u_y * zy)) * mask
+    out[0, 0] = 0.0
+    return out, u_x, u_y, reference_point_values(grid, uhat, points)
+
+
+def stage_arrays(grid, zhat, points):
+    out, u, p = eu.stage(grid, zhat, points)
+    return out, u.u_x, u.u_y, p
+
+
+def same_bits(a, b):
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def random_state(N, P, seed):
+    grid = eu.GridSpec(N)
+    rng = np.random.default_rng(seed)
+    zhat = np.fft.rfft2(rng.standard_normal((N, N)))
+    return grid, zhat, rng.uniform(-grid.L, 2 * grid.L, size=(P, 2))
+
+
+class TestStageHelperThread:
+    """From N = OVERLAP_N up, stage hands point_values to a helper thread and
+    does its own FFTs meanwhile; the caller runs the sum itself if the helper
+    has not started it by then."""
+
+    @pytest.fixture(autouse=True)
+    def helper_runs_every_marker_sum(self, monkeypatch):
+        # every grid hands its sum over, and the caller goes on only once the
+        # helper has claimed every part, so that the helper thread runs them all
+        monkeypatch.setattr(eu, "OVERLAP_N", 16)
+        monkeypatch.setattr(eu, "_cpus", lambda: 2)
+        submit = eu._Helper.submit
+
+        def submit_and_wait_for_the_claims(helper, *jobs):
+            submit(helper, *jobs)
+            deadline = time.monotonic() + 30
+            for job in jobs:
+                while not job.claimed.locked() and time.monotonic() < deadline:
+                    time.sleep(1e-4)
+
+        monkeypatch.setattr(eu._Helper, "submit", submit_and_wait_for_the_claims)
+
+    @pytest.mark.parametrize("N", [16, 64])
+    @pytest.mark.parametrize("P", [0, 1, 129])
+    @pytest.mark.parametrize("overlap_n", [16, 2**30])  # helper thread, in place
+    def test_bit_identical_to_the_serial_stage(self, N, P, overlap_n, monkeypatch):
+        monkeypatch.setattr(eu, "OVERLAP_N", overlap_n)
+        grid, zhat, pts = random_state(N, P, seed=N + P)
+        assert same_bits(stage_arrays(grid, zhat, pts), serial_stage(grid, zhat, pts))
+
+    def test_bit_identical_at_the_default_overlap_size(self, monkeypatch):
+        monkeypatch.undo()
+        grid, zhat, pts = random_state(eu.OVERLAP_N, 33, seed=7)
+        assert same_bits(stage_arrays(grid, zhat, pts), serial_stage(grid, zhat, pts))
+
+    def test_rk4_step_bit_identical_to_the_serial_expression(self):
+        grid, zhat, pts = random_state(32, 40, seed=9)
+        zeta = eu.VorticityField(grid, np.fft.irfft2(zhat))
+        zhat = zeta.spectrum()
+        # a step near the bound, so that each rounding of the sum reaches the result
+        dt = 0.9 * eu.velocity_from_vorticity(zeta).cfl_dt()
+        k1, _, _, p1 = serial_stage(grid, zhat, pts)
+        k2, _, _, p2 = serial_stage(grid, zhat + dt / 2 * k1, pts + dt / 2 * p1)
+        k3, _, _, p3 = serial_stage(grid, zhat + dt / 2 * k2, pts + dt / 2 * p2)
+        k4, _, _, p4 = serial_stage(grid, zhat + dt * k3, pts + dt * p3)
+        want_z = np.fft.irfft2(zhat + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+        want_p = np.mod(pts + dt / 6 * (p1 + 2 * p2 + 2 * p3 + p4), grid.L)
+        z, p = eu.rk4_step(zeta, dt, pts)
+        assert same_bits([z.values, p], [want_z, want_p])
+
+    def test_on_one_cpu_the_caller_does_all_the_work(self, monkeypatch):
+        def submit(*args):
+            raise AssertionError("work handed to the helper on one CPU")
+
+        monkeypatch.setattr(eu, "_cpus", lambda: 1)
+        monkeypatch.setattr(eu._Helper, "submit", submit)
+        grid, zhat, pts = random_state(16, 9, seed=12)
+        assert same_bits(stage_arrays(grid, zhat, pts), serial_stage(grid, zhat, pts))
+
+    def test_the_caller_runs_the_sum_the_busy_helper_has_not_started(self, monkeypatch):
+        monkeypatch.undo()
+        release = threading.Event()
+        busy = eu._Job(release.wait, 10)
+        eu._helper.submit(busy)
+        try:
+            grid, zhat, pts = random_state(eu.OVERLAP_N, 9, seed=11)
+            assert same_bits(stage_arrays(grid, zhat, pts), serial_stage(grid, zhat, pts))
+            assert busy.done.locked()  # the stage did not wait for the helper
+        finally:
+            release.set()
+            busy.result()
+
+    def test_marker_errors_are_raised_in_the_caller_and_the_next_stage_works(self, monkeypatch):
+        grid, zhat, pts = random_state(16, 5, seed=1)
+        with pytest.raises(ValueError, match="non-finite evaluation point"):
+            eu.stage(grid, zhat, [(np.nan, 0.0)])
+        block_values = eu._block_values
+
+        def broken(*args):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(eu, "_block_values", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            eu.stage(grid, zhat, pts)
+        monkeypatch.setattr(eu, "_block_values", block_values)
+        assert same_bits(stage_arrays(grid, zhat, pts), serial_stage(grid, zhat, pts))
+
+    def test_marker_sum_runs_in_the_callers_errstate(self, monkeypatch):
+        grid, zhat, pts = random_state(16, 3, seed=2)
+        block_values, seen = eu._block_values, []
+
+        def recording(*args):
+            seen.append(np.geterr())
+            return block_values(*args)
+
+        monkeypatch.setattr(eu, "_block_values", recording)
+        with np.errstate(over="ignore", invalid="raise", under="warn"):
+            eu.stage(grid, zhat, pts)
+            assert seen == [np.geterr()]
+
+    def test_overflow_follows_the_callers_errstate(self):
+        grid = eu.GridSpec(16)
+        zhat = np.full((16, 9), 1.7e308 + 0j)
+        pts = np.random.default_rng(3).uniform(0, grid.L, size=(7, 2))
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            eu.stage(grid, zhat, pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(all="ignore"):
+                eu.stage(grid, zhat, pts)
+
+    def test_concurrent_callers_each_get_their_own_result(self):
+        states = [random_state(32, 17 * k, seed=k) for k in range(4)]
+        want = [serial_stage(*state) for state in states]
+        got = [[] for _ in states]
+
+        def run(k):
+            for _ in range(25):
+                got[k].append(stage_arrays(*states[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(states))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, results in enumerate(got):
+            assert len(results) == 25
+            assert all(same_bits(r, want[k]) for r in results)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_helper(self):
+        grid, zhat, pts = random_state(16, 4, seed=5)
+        want = serial_stage(grid, zhat, pts)
+        eu.stage(grid, zhat, pts)  # the helper thread now runs in this process
+        pid = os.fork()
+        if pid == 0:  # the child has no helper thread; a stage that waits for one hangs
+            code = 1
+            try:
+                signal.alarm(20)
+                code = 0 if same_bits(stage_arrays(grid, zhat, pts), want) else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_stages_start_at_most_one_thread(self):
+        grid, zhat, pts = random_state(16, 4, seed=4)
+        before = threading.active_count()
+        for _ in range(200):
+            eu.stage(grid, zhat, pts)
+        assert threading.active_count() <= before + 1
 
 
 class TestGaussianInitialData:
