@@ -6,7 +6,7 @@ Jacobi identity is *not* assumed, it is checkable via jacobi_residual.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -27,11 +27,16 @@ def _as_fraction(x):
 
 @dataclass(frozen=True)
 class LieAlgebraSpec:
-    """Dimension, basis labels and exact structure constants of a Lie algebra."""
+    """Dimension, basis labels and exact structure constants of a Lie algebra.
+
+    `ad[a][b]` holds the nonzero (c, C^c_{ab}) of [e_a, e_b], in increasing c.
+    It is built in the same pass that checks antisymmetry, and every exact
+    operation reads the constants through it."""
 
     dim: int
     basis_labels: tuple
     structure_constants: tuple  # C[a][b][c] as nested tuples of Fraction
+    ad: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -43,6 +48,7 @@ class LieAlgebraSpec:
             len(Ca) != self.dim or any(len(Cab) != self.dim for Cab in Ca) for Ca in C
         ):
             raise ValueError("structure constants must be dim x dim x dim")
+        ad = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
         for a in range(self.dim):
             for b in range(self.dim):
                 for c in range(self.dim):
@@ -51,6 +57,9 @@ class LieAlgebraSpec:
                             "structure constants violate antisymmetry at "
                             f"({a},{b},{c})"
                         )
+                    if C[a][b][c]:
+                        ad[a][b].append((c, C[a][b][c]))
+        object.__setattr__(self, "ad", tuple(tuple(map(tuple, row)) for row in ad))
 
     def C(self, a, b, c):
         """C^c_{ab}, the e_c coefficient of [e_a, e_b]."""
@@ -71,11 +80,19 @@ def make_algebra(dim, labels, sparse_entries):
     mirror is filled automatically."""
     if type(dim) is not int or dim < 1:
         raise ValueError(f"dimension must be a positive int, not {dim!r}")
-    for a, b, c, _ in sparse_entries:
+    seen = {}  # (a, b, c) with a < b -> the entry that set that coefficient
+    for a, b, c, v in sparse_entries:
         if not all(type(i) is int and 0 <= i < dim for i in (a, b, c)):
             raise ValueError(f"constant at {(a, b, c)}: indices must be ints in 0..{dim - 1}")
         if a == b:
             raise ValueError("diagonal entries [e_a, e_a] are identically zero")
+        key = (min(a, b), max(a, b), c)
+        if key in seen:
+            raise ValueError(
+                f"constant {seen[key]} and constant {(a, b, c)} = {v} set the same "
+                "coefficient; give each [e_a, e_b] coefficient once"
+            )
+        seen[key] = f"{(a, b, c)} = {v}"
     entries = [(a, b, c, _as_fraction(v)) for a, b, c, v in sparse_entries]
     return LieAlgebraSpec(dim, tuple(labels), _freeze_constants(dim, entries))
 
@@ -120,41 +137,31 @@ def preset(name):
 
 
 @dataclass(frozen=True)
-class LieVector:
+class _Coordinates:
+    """Coordinate tuple with the linear operations; each result has the type
+    of the vector it was computed from."""
+
+    coeffs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
+    def __add__(self, other):
+        return type(self)(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return type(self)(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __rmul__(self, scalar):
+        return type(self)(tuple(scalar * a for a in self.coeffs))
+
+
+class LieVector(_Coordinates):
     """Element of the algebra in basis coordinates."""
 
-    coeffs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    def __add__(self, other):
-        return LieVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        return LieVector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rmul__(self, scalar):
-        return LieVector(tuple(scalar * a for a in self.coeffs))
-
-
-@dataclass(frozen=True)
-class DualVector:
+class DualVector(_Coordinates):
     """Element of the dual space; houses the distribution function."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    def __add__(self, other):
-        return DualVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        return DualVector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rmul__(self, scalar):
-        return DualVector(tuple(scalar * a for a in self.coeffs))
 
 
 def basis_vector(g, a, scale=1):
@@ -180,18 +187,14 @@ def bracket(g, X, Y):
     _check_conforms(g, X)
     _check_conforms(g, Y)
     out = [X.coeffs[0] * 0] * g.dim
-    for a in range(g.dim):
-        xa = X.coeffs[a]
+    for xa, ad_a in zip(X.coeffs, g.ad):
         if xa == 0:
             continue
-        for b in range(g.dim):
-            yb = Y.coeffs[b]
+        for yb, ad_ab in zip(Y.coeffs, ad_a):
             if yb == 0:
                 continue
-            for c in range(g.dim):
-                Cv = g.C(a, b, c)
-                if Cv != 0:
-                    out[c] += Cv * xa * yb
+            for c, v in ad_ab:
+                out[c] += v * xa * yb
     return LieVector(tuple(out))
 
 
@@ -225,11 +228,17 @@ def coad_matrix(g, X):
 
 
 def coad_apply(g, X, lam):
-    """ad*_X lambda as a DualVector."""
-    M = coad_matrix(g, X)
-    return DualVector(
-        tuple(sum(M[a][c] * lam.coeffs[c] for c in range(g.dim)) for a in range(g.dim))
-    )
+    """ad*_X lambda as a DualVector, with components sum_{b,c} C^c_{ab} X^b lam_c."""
+    _check_conforms(g, X)
+    _check_conforms(g, lam)
+    out = []
+    for ad_a in g.ad:
+        out.append(sum(
+            v * xb * lam.coeffs[c]
+            for xb, ad_ab in zip(X.coeffs, ad_a) if xb
+            for c, v in ad_ab
+        ))
+    return DualVector(tuple(out))
 
 
 def killing_form(g):
@@ -250,47 +259,30 @@ def is_semisimple(g):
 
 
 def center_basis(g):
-    """Exact basis of the center {X : [X, e_b] = 0 for all b}."""
-    rows = []
-    for b in range(g.dim):
-        for c in range(g.dim):
-            rows.append({a: g.C(a, b, c) for a in range(g.dim)})
+    """Exact basis of the center {X : [e_b, X] = 0 for all b}: the rows of
+    every ad_{e_b} matrix, stacked."""
+    rows = [
+        dict(enumerate(r)) for b in range(g.dim) for r in ad_matrix(g, basis_vector(g, b))
+    ]
     return [LieVector(tuple(v)) for v in _exact.nullspace(rows, n_cols=g.dim)]
 
 
 def stabilizer_subalgebra(g, lam):
     """Exact basis of {X : ad*_X lambda = 0}."""
     _check_conforms(g, lam)
-    lam_exact = [_as_fraction(x) for x in lam.coeffs]
-    # row (a): coefficient of X^b in (ad*_X lam)_a = -C^c_{ba} X^b lam_c
-    rows = []
-    for a in range(g.dim):
-        rows.append(
-            {
-                b: -sum(g.C(b, a, c) * lam_exact[c] for c in range(g.dim))
-                for b in range(g.dim)
-            }
-        )
+    lam_exact = DualVector([_as_fraction(x) for x in lam.coeffs])
+    # row (a): coefficient of X^b in (ad*_X lam)_a, read off ad*_{e_b} lam
+    cols = [coad_apply(g, basis_vector(g, b), lam_exact).coeffs for b in range(g.dim)]
+    rows = [{b: col[a] for b, col in enumerate(cols)} for a in range(g.dim)]
     return [LieVector(tuple(v)) for v in _exact.nullspace(rows, n_cols=g.dim)]
 
 
 def coad_curvature_action(g, omega_comp, lam):
     """Lie-algebraic coefficient of ad*_Omega lambda with components
     C^c_{ab} Omega^b lam_c; the scalar 2-form factor is carried externally."""
-    _check_conforms(g, omega_comp)
-    _check_conforms(g, lam)
-    out = []
-    for a in range(g.dim):
-        out.append(
-            sum(
-                g.C(a, b, c) * omega_comp.coeffs[b] * lam.coeffs[c]
-                for b in range(g.dim)
-                for c in range(g.dim)
-            )
-        )
-    return DualVector(tuple(out))
+    return coad_apply(g, omega_comp, lam)
 
 
 def integrability_check(g, omega_comp, lam):
     """True when ad*_Omega lambda vanishes identically."""
-    return all(x == 0 for x in coad_curvature_action(g, omega_comp, lam).coeffs)
+    return all(x == 0 for x in coad_apply(g, omega_comp, lam).coeffs)

@@ -97,43 +97,46 @@ def _replace_slot(indices, j, new_index):
     return tuple(sorted(out))
 
 
+def _derivation(ad_x, idx):
+    """rho(x) on the Sym^k monomial idx as (monomial, value) pairs: slot j
+    holding y becomes each c of [x, e_y] = sum over ad_x[y] of v e_c."""
+    for j, y in enumerate(idx):
+        for c, v in ad_x[y]:
+            yield _replace_slot(idx, j, c), v
+
+
 def spencer_delta_structural(g, X):
     """Degree-raising differential
     delta(X_1 ⊙ ... ⊙ X_k) = sum_i sum_j e_i ⊙ X_1 ⊙ ... ⊙ [e_i, X_j] ⊙ ... ⊙ X_k
-    expanded over the monomial basis."""
+    expanded over the monomial basis, i.e. sum_i e_i ⊙ rho(e_i)(X)."""
     if X.dim != g.dim:
         raise DimensionMismatch("tensor does not conform to the algebra")
     terms = {}
     for idx, coeff in X.terms.items():
-        for i in range(g.dim):
-            for j in range(len(idx)):
-                for c in range(g.dim):
-                    Cv = g.C(i, idx[j], c)
-                    if Cv == 0:
-                        continue
-                    new_idx = tuple(sorted(_replace_slot(idx, j, c) + (i,)))
-                    terms[new_idx] = terms.get(new_idx, 0) + coeff * Cv
+        for i, ad_i in enumerate(g.ad):
+            for mono, v in _derivation(ad_i, idx):
+                new_idx = tuple(sorted(mono + (i,)))
+                terms[new_idx] = terms.get(new_idx, 0) + coeff * v
     return SymTensor(g.dim, X.degree + 1, terms)
 
 
 def spencer_delta_curvature(g, omega_comp, X):
     """Degree-preserving curvature-twisted differential
-    delta_Omega(X) = sum_i ad_Omega(X_i) ⊙ (product of the other slots);
-    the scalar 2-form factor is carried externally."""
-    if X.dim != g.dim:
-        raise DimensionMismatch("tensor does not conform to the algebra")
+    delta_Omega(X) = sum_i ad_Omega(X_i) ⊙ (product of the other slots),
+    i.e. rho(Omega)(X); the scalar 2-form factor is carried externally."""
+    if X.dim != g.dim or len(omega_comp.coeffs) != g.dim:
+        raise DimensionMismatch("tensor or curvature does not conform to the algebra")
+    # [Omega, e_y] as the rows of every ad_{e_b}[y] weighted by omega_b and
+    # concatenated in (b, c) order, so terms are met in the order of the sum
+    ad_omega = [
+        [(c, ob * v) for b, ob in enumerate(omega_comp.coeffs) if ob
+         for c, v in g.ad[b][y]]
+        for y in range(g.dim)
+    ]
     terms = {}
     for idx, coeff in X.terms.items():
-        for j in range(len(idx)):
-            for b, ob in enumerate(omega_comp.coeffs):
-                if ob == 0:
-                    continue
-                for c in range(g.dim):
-                    Cv = g.C(b, idx[j], c)
-                    if Cv == 0:
-                        continue
-                    new_idx = _replace_slot(idx, j, c)
-                    terms[new_idx] = terms.get(new_idx, 0) + coeff * ob * Cv
+        for mono, v in _derivation(ad_omega, idx):
+            terms[mono] = terms.get(mono, 0) + coeff * v
     return SymTensor(g.dim, X.degree, terms)
 
 
@@ -156,30 +159,15 @@ def nilpotency_report(g, max_degree):
 # --- Chevalley-Eilenberg cohomology with coefficients in Sym^p(g) ---
 
 
-def _brackets(g):
-    """Nonzero structure constants, read once: ad[a][b] lists (c, C^c_{ab}),
-    pairs[c] lists (a, b, C^c_{ab}) with a < b."""
-    ad = [[[] for _ in range(g.dim)] for _ in range(g.dim)]
-    pairs = [[] for _ in range(g.dim)]
-    for a, b in itertools.combinations(range(g.dim), 2):
-        for c in range(g.dim):
-            if v := g.C(a, b, c):
-                ad[a][b].append((c, v))
-                ad[b][a].append((c, -v))
-                pairs[c].append((a, b, v))
-    return ad, pairs
-
-
 def _module_action(ad_a, basis):
     """Derivation extension of ad_{e_a} on Sym^p(g): the sparse image
     {row: value} of each basis monomial."""
     index = {idx: i for i, idx in enumerate(basis)}
     cols = [{} for _ in basis]
     for col, idx in zip(cols, basis):
-        for j, x in enumerate(idx):
-            for c, v in ad_a[x]:
-                r = index[_replace_slot(idx, j, c)]
-                col[r] = col.get(r, 0) + v
+        for mono, v in _derivation(ad_a, idx):
+            r = index[mono]
+            col[r] = col.get(r, 0) + v
     return cols
 
 
@@ -191,8 +179,11 @@ def _ce_differential(g, p, q):
     row_of[T] * D + mm. Both terms are enumerated from S."""
     basis = sym_basis(g.dim, p)
     D = len(basis)
-    ad, pairs = _brackets(g)
-    rho = [_module_action(ad_a, basis) for ad_a in ad]
+    pairs = [[] for _ in range(g.dim)]  # pairs[c] lists (a, b, C^c_{ab}) with a < b
+    for a, b in itertools.combinations(range(g.dim), 2):
+        for c, v in g.ad[a][b]:
+            pairs[c].append((a, b, v))
+    rho = [_module_action(ad_a, basis) for ad_a in g.ad]
     row_of = {T: i for i, T in enumerate(itertools.combinations(range(g.dim), q + 1))}
     cols = []
     for S in itertools.combinations(range(g.dim), q):
@@ -239,7 +230,7 @@ def invariant_subspace_dim(g, p):
     basis = sym_basis(g.dim, p)
     D = len(basis)
     rows = [{} for _ in range(g.dim * D)]
-    for a, ad_a in enumerate(_brackets(g)[0]):
+    for a, ad_a in enumerate(g.ad):
         for m, col in enumerate(_module_action(ad_a, basis)):
             for r, v in col.items():
                 rows[a * D + r][m] = v
@@ -249,44 +240,26 @@ def invariant_subspace_dim(g, p):
 # --- Betti-number decomposition ---
 
 
-@dataclass(frozen=True)
-class BettiFactorTable:
-    """Per-bidegree factor dims f[p][q] used in the decomposition convolution."""
-
-    entries: dict  # {(p, q): non-negative int}
-
-    def __post_init__(self):
-        for (p, q), v in self.entries.items():
-            if p < 0 or q < 0 or v < 0:
-                raise ValueError("factor table entries must be non-negative")
-
-    def factor(self, p, q=0):
-        return self.entries.get((p, q), 0)
-
-    def max_p(self):
-        return max((p for p, _ in self.entries), default=0)
-
-
 def sym_dimension_factor(g, max_p=8):
-    """f[p] = dim Sym^p(g); reproduces the reference Betti table exactly."""
-    return BettiFactorTable({(p, 0): sym_space_dim(g.dim, p) for p in range(max_p + 1)})
+    """f[p] = dim Sym^p(g) for p = 0..max_p; reproduces the reference Betti
+    table exactly."""
+    return tuple(sym_space_dim(g.dim, p) for p in range(max_p + 1))
 
 
 def whitehead_factor(g, max_p=4):
-    """f[p] from the CE invariant dimensions (H^{q>=1} vanishes for semisimple
-    algebras, so only q=0 contributes to the convolution)."""
-    return BettiFactorTable(
-        {(p, 0): ce_cohomology_dim(g, p, 0) for p in range(max_p + 1)}
-    )
+    """f[p] = dim (Sym^p g)^g from the CE invariant dimensions (H^{q>=1}
+    vanishes for semisimple algebras, so only q=0 contributes to the
+    convolution)."""
+    return tuple(ce_cohomology_dim(g, p, 0) for p in range(max_p + 1))
 
 
 def spencer_betti(base_betti, factor):
-    """beta_k = sum_{p+q=k} base_betti[q] * f[p], truncated to len(base_betti)."""
+    """beta_k = sum_{p+q=k} base_betti[q] * f[p], truncated to len(base_betti);
+    the factor tuple f reads 0 past its end."""
     if not base_betti:
         raise ValueError("base Betti numbers must be non-empty")
-    out = []
-    for k in range(len(base_betti)):
-        out.append(
-            sum(base_betti[q] * factor.factor(k - q) for q in range(k + 1))
-        )
-    return out
+    f = list(factor) + [0] * len(base_betti)
+    return [
+        sum(base_betti[q] * f[k - q] for q in range(k + 1))
+        for k in range(len(base_betti))
+    ]

@@ -149,6 +149,17 @@ class TestLie:
         assert err.startswith("config error:")
         assert message in err
 
+    def test_conflicting_mirror_constants_are_config_error(self, capsys, tmp_path):
+        # [x, y] = x and [y, x] = x: the second entry used to overwrite the first
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(
+            {"dim": 2, "labels": ["x", "y"], "constants": [[0, 1, 0, 1, 1], [1, 0, 0, 1, 1]]}
+        ))
+        rc, out, err = run_cli(capsys, ["lie", "verify", "--algebra", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("config error: constant (0, 1, 0) = 1 and constant (1, 0, 0) = 1")
+
 
 class TestCartan:
     @staticmethod

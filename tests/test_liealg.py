@@ -103,6 +103,14 @@ class TestAdCoad:
                 rhs = la.pairing(lam, la.bracket(su2, X, Y))
                 assert lhs + rhs == 0
 
+    @pytest.mark.parametrize("n", [2, 4], ids=["short", "long"])
+    def test_coad_rejects_lambda_of_wrong_length(self, su2, n):
+        lam = la.DualVector((F(1),) * n)
+        with pytest.raises(la.DimensionMismatch):
+            la.coad_apply(su2, e(su2, 0), lam)
+        with pytest.raises(la.DimensionMismatch):
+            la.coad_curvature_action(su2, e(su2, 0), lam)
+
 
 class TestKillingCenter:
     def test_su2_killing(self, su2):
@@ -188,6 +196,21 @@ class TestConstruction:
             la.LieAlgebraSpec(2, ("a", "b"), tuple(
                 tuple(tuple(r) for r in p) for p in C
             ))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[(0, 1, 0, 1), (1, 0, 0, 1)], [(0, 1, 0, 1), (0, 1, 0, 2)]],
+        ids=["mirror", "repeat"],
+    )
+    def test_second_entry_for_one_coefficient_rejected(self, entries):
+        with pytest.raises(ValueError, match=r"constant \(0, 1, 0\) = 1 and constant"):
+            la.make_algebra(2, ["x", "y"], entries)
+
+    def test_vector_types_stay_distinct(self):
+        X, lam = la.LieVector((1, 2)), la.DualVector((1, 2))
+        assert X != lam
+        assert type(X + X) is la.LieVector and type(lam - lam) is la.DualVector
+        assert type(3 * lam) is la.DualVector and (3 * X).coeffs == (3, 6)
 
     def test_from_json_roundtrip(self):
         doc = {

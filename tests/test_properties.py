@@ -1,11 +1,17 @@
-"""Hypothesis properties of the Euler spectral core."""
+"""Hypothesis properties of the Euler spectral core and of the exact layer."""
+
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
+from test_spencer import sl3, so4_permuted
 
+from spencerflow import _exact
 from spencerflow import euler2d as eu
 from spencerflow import invariants as inv
+from spencerflow import liealg as la
+from spencerflow import spencer as sp
 
 sizes = st.sampled_from([16, 32, 64])
 seeds = st.integers(0, 2**32 - 1)
@@ -94,3 +100,106 @@ def test_point_values_match_the_direct_sum(N, L, seed, count, P):
     assert values.shape == (P, count)
     for col, (ref, scale) in zip(values.T, direct_sum(grid, fhat, points)):
         assert np.max(np.abs(col - ref), initial=0.0) <= 1e-12 * scale
+
+
+# --- exact layer: each operation against a dense formula read from g.C ---
+
+ALGEBRAS = {name: la.preset(name) for name in ("su2", "so3", "sl2")}
+ALGEBRAS.update(so4=so4_permuted(), sl3=sl3())
+algebras = st.sampled_from(sorted(ALGEBRAS)).map(ALGEBRAS.get)
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def vectors(dim):
+    return st.lists(rationals, min_size=dim, max_size=dim).map(tuple)
+
+
+def tensors(dim):
+    """Sym^1 to Sym^3 tensors of up to four terms."""
+    def of_degree(k):
+        index = st.lists(st.integers(0, dim - 1), min_size=k, max_size=k)
+        terms = st.dictionaries(index.map(lambda i: tuple(sorted(i))), rationals, max_size=4)
+        return terms.map(lambda t: sp.SymTensor(dim, k, t))
+    return st.integers(1, 3).flatmap(of_degree)
+
+
+def dense_coad(g, X, lam):
+    n = range(g.dim)
+    return tuple(
+        sum(g.C(a, b, c) * X.coeffs[b] * lam.coeffs[c] for b in n for c in n) for a in n
+    )
+
+
+def dense_rho(g, a, X):
+    """rho(e_a) X: every slot y of every monomial replaced by [e_a, e_y]."""
+    terms = {}
+    for idx, coeff in X.terms.items():
+        for j in range(len(idx)):
+            for c in range(g.dim):
+                new = tuple(sorted(idx[:j] + (c,) + idx[j + 1:]))
+                terms[new] = terms.get(new, 0) + coeff * g.C(a, idx[j], c)
+    return sp.SymTensor(g.dim, X.degree, terms)
+
+
+@given(algebras, st.data())
+def test_coadjoint_action_matches_the_dense_sum(g, data):
+    X = la.LieVector(data.draw(vectors(g.dim)))
+    lam = la.DualVector(data.draw(vectors(g.dim)))
+    want = dense_coad(g, X, lam)
+    assert la.coad_apply(g, X, lam).coeffs == want
+    assert la.coad_curvature_action(g, X, lam).coeffs == want
+    assert la.integrability_check(g, X, lam) == (not any(want))
+
+
+@given(algebras, st.data())
+def test_curvature_delta_is_rho_of_omega(g, data):
+    omega = la.LieVector(data.draw(vectors(g.dim)))
+    X = data.draw(tensors(g.dim))
+    want = sp.SymTensor.zero(g.dim, X.degree)
+    for a, w in enumerate(omega.coeffs):
+        want = want + w * dense_rho(g, a, X)
+    assert sp.spencer_delta_curvature(g, omega, X) == want
+
+
+@given(algebras, st.data())
+def test_structural_delta_matches_the_dense_triple_loop(g, data):
+    X = data.draw(tensors(g.dim))
+    terms = {}
+    for idx, coeff in X.terms.items():
+        for i in range(g.dim):
+            for j in range(len(idx)):
+                for c in range(g.dim):
+                    new = tuple(sorted(idx[:j] + (c, i) + idx[j + 1:]))
+                    terms[new] = terms.get(new, 0) + coeff * g.C(i, idx[j], c)
+    want = sp.SymTensor(g.dim, X.degree + 1, terms)
+    assert sp.spencer_delta_structural(g, X) == want
+
+
+@given(algebras, st.data())
+def test_stabilizer_is_the_kernel_of_the_dense_coadjoint_matrix(g, data):
+    lam = la.DualVector(data.draw(vectors(g.dim)))
+    n = range(g.dim)
+    dense = [{b: sum(g.C(a, b, c) * lam.coeffs[c] for c in n) for b in n} for a in n]
+    basis = la.stabilizer_subalgebra(g, lam)
+    assert len(basis) == g.dim - _exact.rank(dense)
+    for X in basis:
+        assert not any(dense_coad(g, X, lam))
+
+
+@given(st.integers(1, 5), st.data())
+def test_ad_table_holds_the_nonzero_structure_constants(dim, data):
+    if dim == 1:
+        entries = []
+    else:
+        pair = st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True)
+        key = st.tuples(pair, st.integers(0, dim - 1))
+        chosen = data.draw(st.dictionaries(key.map(lambda k: (*k[0], k[1])), rationals))
+        # one entry per unordered (a, b) and c: make_algebra refuses a second
+        entries = list({(min(a, b), max(a, b), c): (a, b, c, v)
+                        for (a, b, c), v in chosen.items()}.values())
+    g = la.make_algebra(dim, [f"x{i}" for i in range(dim)], entries)
+    C = g.structure_constants
+    assert g.ad == tuple(
+        tuple(tuple((c, v) for c, v in enumerate(C[a][b]) if v) for b in range(dim))
+        for a in range(dim)
+    )
