@@ -157,7 +157,7 @@ def point_values(grid, fhat, points):
     2/3 band, exact up to rounding for fields inside it, in O(P N^2) work. With
     each kx = m row folded with its -m mirror into cos(m x) and sin(m x) rows, a
     block of points costs one real matmul and one batched product over ky."""
-    return _PointSum(grid, fhat, points).values()
+    return _MarkerSum(grid, fhat, points).values()
 
 
 def _fold(grid, fhat):
@@ -195,69 +195,54 @@ def _block_values(grid, coef, pts):
     return (a @ c[:, 1, :, None])[:, :, 0]
 
 
-def _folded_block(grid, fold, pts):
-    return _block_values(grid, fold.result(), pts)
-
-
-class _PointSum:
-    """point_values as jobs that any thread may run: the folded coefficients,
-    then one job per block of points."""
+class _MarkerSum:
+    """point_values as one list of blocks of points that two threads drain
+    from both ends: in a stage the helper takes blocks from the front while
+    the caller does the grid FFTs, then the caller takes the rest from the
+    back. deque pops are atomic, so each block runs once. Whichever thread
+    first needs the folded coefficients computes them; the other waits."""
 
     def __init__(self, grid, fhat, points):
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite evaluation point")
-        self.shape = (len(pts), len(fhat))
-        self.fold = _Job(_fold, grid, fhat)
-        self.blocks = [
-            (s, _Job(_folded_block, grid, self.fold, pts[s : s + BLOCK]))
-            for s in range(0, len(pts), BLOCK)
-        ]
+        self.grid, self.fhat, self.pts = grid, fhat, pts
+        self.out = np.empty((len(pts), len(fhat)))
+        self.starts = collections.deque(range(0, len(pts), BLOCK))
+        self.coef = None
+        self.folding = threading.Lock()
+        self.busy = threading.Lock()  # held by the helper while it takes blocks
+        self.error = None
+        self.ctx = contextvars.copy_context()  # numpy's errstate, for the helper
 
-    def jobs(self):
-        return [self.fold, *(job for _, job in self.blocks)] if self.blocks else []
+    def _drain(self, pop):
+        while True:
+            try:
+                s = pop()
+            except IndexError:
+                return
+            with self.folding:
+                if self.coef is None:
+                    self.coef = _fold(self.grid, self.fhat)
+            self.out[s : s + BLOCK] = _block_values(self.grid, self.coef, self.pts[s : s + BLOCK])
+
+    def help(self):
+        """The helper's part: blocks from the front, in the caller's context."""
+        with self.busy:
+            try:
+                self.ctx.run(self._drain, self.starts.popleft)
+            except BaseException as exc:  # re-raised by values()
+                self.error = exc
 
     def values(self):
-        """The (P, len(fhat)) values. Runs, from the last block back, every job
-        no thread has started, and waits for the ones another thread is on."""
-        out = np.empty(self.shape)
-        for s, job in reversed(self.blocks):
-            out[s : s + BLOCK] = job.result()
-        return out
-
-
-class _Job:
-    """fn(*args), run once by whichever thread claims it first, in the
-    creator's contextvars context, which holds numpy's errstate."""
-
-    def __init__(self, fn, *args):
-        self.ctx, self.fn, self.args = contextvars.copy_context(), fn, args
-        self.claimed = threading.Lock()
-        self.done = threading.Lock()
-        self.done.acquire()
-        self.value = self.error = None
-
-    def run(self):
-        """Run the call in this thread, unless another thread has claimed it."""
-        if not self.claimed.acquire(blocking=False):
-            return
-        try:
-            self.value = self.ctx.run(self.fn, *self.args)
-        except BaseException as exc:  # re-raised by result()
-            self.error = exc
-        finally:
-            self.done.release()
-
-    def result(self):
-        """Run the call here if no thread has started it (the helper may be
-        busy, or its core taken by another process), else wait for it; return
-        its value or raise its exception. Any number of threads may ask."""
-        self.run()
-        with self.done:  # released again for the next reader
+        """The (P, len(fhat)) values. Runs, from the last block back, every
+        block the helper has not taken, then waits for the one it may be on."""
+        self._drain(self.starts.pop)
+        with self.busy:
             pass
         if self.error is not None:
             raise self.error
-        return self.value
+        return self.out
 
 
 class _Helper:
@@ -267,27 +252,25 @@ class _Helper:
     numpy work on a second core."""
 
     def __init__(self):
-        self.jobs = collections.deque()
+        self.calls = collections.deque()
         self.pending = threading.Semaphore(0)
         self.start = threading.Lock()
         self.thread = None
 
-    def submit(self, *jobs):
-        if not jobs:
-            return
+    def submit(self, fn):
         with self.start:
             if self.thread is None:
                 self.thread = threading.Thread(
                     target=self._serve, name="spencerflow-stage-helper", daemon=True
                 )
                 self.thread.start()
-        self.jobs.extend(jobs)
-        self.pending.release(len(jobs))
+        self.calls.append(fn)
+        self.pending.release()
 
     def _serve(self):
         while True:
             self.pending.acquire()
-            self.jobs.popleft().run()
+            self.calls.popleft()()
 
 
 def _cpus():
@@ -314,16 +297,15 @@ def stage(grid, zhat, points):
     dealiased field: the tendency spectrum of -(u . grad) zeta, dealiased and
     with its mean mode pinned to zero (the nonlinear term is a flux
     divergence); the velocity on the grid; the (P, 2) velocity at the points.
-    From N = OVERLAP_N up and with two CPUs or more, the helper thread starts
-    on the marker sum, its coefficients first and then its blocks in order,
-    while this thread does the FFTs; then this thread runs the blocks the
-    helper has not started, from the last one back."""
+    From N = OVERLAP_N up and with two CPUs or more, the helper thread takes
+    blocks of the marker sum from the front while this thread does the FFTs;
+    then this thread takes the blocks left, from the last one back."""
     kx, ky, _, mask = _spectral_ops(grid)
     zhat = zhat * mask
     uhat = _velocity_spectrum(grid, zhat)
-    markers = _PointSum(grid, uhat, points)
-    if grid.N >= OVERLAP_N and _cpus() > 1:
-        _helper.submit(*markers.jobs())
+    markers = _MarkerSum(grid, uhat, points)
+    if markers.starts and grid.N >= OVERLAP_N and _cpus() > 1:
+        _helper.submit(markers.help)
     try:
         u = _grid_velocity(grid, uhat)
         zx = np.fft.irfft2(1j * kx * zhat)

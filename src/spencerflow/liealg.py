@@ -277,12 +277,6 @@ def stabilizer_subalgebra(g, lam):
     return [LieVector(tuple(v)) for v in _exact.nullspace(rows, n_cols=g.dim)]
 
 
-def coad_curvature_action(g, omega_comp, lam):
-    """Lie-algebraic coefficient of ad*_Omega lambda with components
-    C^c_{ab} Omega^b lam_c; the scalar 2-form factor is carried externally."""
-    return coad_apply(g, omega_comp, lam)
-
-
 def integrability_check(g, omega_comp, lam):
     """True when ad*_Omega lambda vanishes identically."""
     return all(x == 0 for x in coad_apply(g, omega_comp, lam).coeffs)

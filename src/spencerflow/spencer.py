@@ -247,9 +247,9 @@ def sym_dimension_factor(g, max_p=8):
 
 
 def whitehead_factor(g, max_p=4):
-    """f[p] = dim (Sym^p g)^g from the CE invariant dimensions (H^{q>=1}
-    vanishes for semisimple algebras, so only q=0 contributes to the
-    convolution)."""
+    """f[p] = dim H^0(g, Sym^p g) = dim (Sym^p g)^g, the invariants of each
+    symmetric power. Higher H^q need not vanish: Whitehead's lemmas give
+    only H^1 = H^2 = 0 for semisimple g, and H^3(su2) = 1."""
     return tuple(ce_cohomology_dim(g, p, 0) for p in range(max_p + 1))
 
 

@@ -262,34 +262,65 @@ def random_state(N, P, seed):
 
 
 class TestStageHelperThread:
-    """From N = OVERLAP_N up, stage hands point_values to a helper thread and
-    does its own FFTs meanwhile; the caller runs the sum itself if the helper
-    has not started it by then."""
+    """From N = OVERLAP_N up, stage hands the marker sum to a helper thread
+    that takes its blocks from the front while the caller does its own FFTs;
+    the caller then takes the blocks the helper has not, from the back."""
 
     @pytest.fixture(autouse=True)
     def helper_runs_every_marker_sum(self, monkeypatch):
         # every grid hands its sum over, and the caller goes on only once the
-        # helper has claimed every part, so that the helper thread runs them all
+        # helper has emptied the block list, so that the helper runs every block
         monkeypatch.setattr(eu, "OVERLAP_N", 16)
         monkeypatch.setattr(eu, "_cpus", lambda: 2)
         submit = eu._Helper.submit
 
-        def submit_and_wait_for_the_claims(helper, *jobs):
-            submit(helper, *jobs)
+        def submit_and_wait_for_the_blocks(helper, fn):
+            submit(helper, fn)
             deadline = time.monotonic() + 30
-            for job in jobs:
-                while not job.claimed.locked() and time.monotonic() < deadline:
-                    time.sleep(1e-4)
+            while fn.__self__.starts and time.monotonic() < deadline:
+                time.sleep(1e-4)
 
-        monkeypatch.setattr(eu._Helper, "submit", submit_and_wait_for_the_claims)
+        monkeypatch.setattr(eu._Helper, "submit", submit_and_wait_for_the_blocks)
 
     @pytest.mark.parametrize("N", [16, 64])
-    @pytest.mark.parametrize("P", [0, 1, 129])
+    @pytest.mark.parametrize("P", [0, 1, 64, 65, 129, 192])
     @pytest.mark.parametrize("overlap_n", [16, 2**30])  # helper thread, in place
     def test_bit_identical_to_the_serial_stage(self, N, P, overlap_n, monkeypatch):
         monkeypatch.setattr(eu, "OVERLAP_N", overlap_n)
         grid, zhat, pts = random_state(N, P, seed=N + P)
         assert same_bits(stage_arrays(grid, zhat, pts), serial_stage(grid, zhat, pts))
+
+    def test_the_helper_runs_the_front_blocks_and_the_caller_the_back(self, monkeypatch):
+        monkeypatch.undo()  # the fixture's submit would wait for the helper to take every block
+        monkeypatch.setattr(eu, "OVERLAP_N", 16)
+        monkeypatch.setattr(eu, "_cpus", lambda: 2)
+        grid, zhat, pts = random_state(32, 3 * eu.BLOCK + 5, seed=13)
+        caller, ran = threading.get_ident(), []
+        helper_started = threading.Event()
+        block_values = eu._block_values
+
+        def block_values_in_turn(grid, coef, block):
+            # the caller waits until the helper has taken its first block, and
+            # the helper runs it only once the caller has run the three others,
+            # so the stage must wait for the helper's block
+            if threading.get_ident() == caller:
+                assert helper_started.wait(30)
+            else:
+                helper_started.set()
+                deadline = time.monotonic() + 30
+                while len(ran) < 3 and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+            values = block_values(grid, coef, block)
+            start = int(np.flatnonzero(pts[:, 0] == block[0, 0])[0])
+            ran.append((threading.get_ident(), start))
+            return values
+
+        monkeypatch.setattr(eu, "_block_values", block_values_in_turn)
+        got = stage_arrays(grid, zhat, pts)
+        assert len(ran) == 4
+        assert same_bits(got, serial_stage(grid, zhat, pts))
+        assert [s for ident, s in ran if ident != caller] == [0]
+        assert [s for ident, s in ran if ident == caller] == [k * eu.BLOCK for k in (3, 2, 1)]
 
     def test_bit_identical_at_the_default_overlap_size(self, monkeypatch):
         monkeypatch.undo()
@@ -320,18 +351,33 @@ class TestStageHelperThread:
         grid, zhat, pts = random_state(16, 9, seed=12)
         assert same_bits(stage_arrays(grid, zhat, pts), serial_stage(grid, zhat, pts))
 
+    @pytest.mark.parametrize("N, P", [(eu.OVERLAP_N // 2, 9), (eu.OVERLAP_N, 0)])
+    def test_small_grids_and_empty_sums_stay_with_the_caller(self, N, P, monkeypatch):
+        def submit(*args):
+            raise AssertionError("work handed to the helper")
+
+        monkeypatch.undo()
+        monkeypatch.setattr(eu, "_cpus", lambda: 2)
+        monkeypatch.setattr(eu._Helper, "submit", submit)
+        grid, zhat, pts = random_state(N, P, seed=14)
+        assert same_bits(stage_arrays(grid, zhat, pts), serial_stage(grid, zhat, pts))
+
     def test_the_caller_runs_the_sum_the_busy_helper_has_not_started(self, monkeypatch):
         monkeypatch.undo()
-        release = threading.Event()
-        busy = eu._Job(release.wait, 10)
+        release, finished = threading.Event(), threading.Event()
+
+        def busy():
+            release.wait(10)
+            finished.set()
+
         eu._helper.submit(busy)
         try:
             grid, zhat, pts = random_state(eu.OVERLAP_N, 9, seed=11)
             assert same_bits(stage_arrays(grid, zhat, pts), serial_stage(grid, zhat, pts))
-            assert busy.done.locked()  # the stage did not wait for the helper
+            assert not finished.is_set()  # the stage did not wait for the helper
         finally:
             release.set()
-            busy.result()
+            assert finished.wait(10)
 
     def test_marker_errors_are_raised_in_the_caller_and_the_next_stage_works(self, monkeypatch):
         grid, zhat, pts = random_state(16, 5, seed=1)

@@ -147,7 +147,6 @@ def test_coadjoint_action_matches_the_dense_sum(g, data):
     lam = la.DualVector(data.draw(vectors(g.dim)))
     want = dense_coad(g, X, lam)
     assert la.coad_apply(g, X, lam).coeffs == want
-    assert la.coad_curvature_action(g, X, lam).coeffs == want
     assert la.integrability_check(g, X, lam) == (not any(want))
 
 
