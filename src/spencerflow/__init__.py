@@ -6,4 +6,10 @@ __version__ = "0.1.0"
 
 class CFLViolation(RuntimeError):
     """The numerical gate: a step at or above the stability bound (cartan) or
-    above the advective bound (euler2d), or a Cartan step that overflows."""
+    above the advective bound (euler2d), or a Cartan or Euler step that
+    overflows."""
+
+
+class NonFinite(ValueError):
+    """A vorticity field, marker points or an invariant record holding an inf
+    or a nan: the state has left float64."""

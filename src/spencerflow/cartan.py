@@ -47,7 +47,7 @@ class ConnectionSampler:
         return ConnectionSampler(len(a), lambda x, mu: a if mu == 0 else zero)
 
     @staticmethod
-    def abelian_zero(dim=1):
+    def abelian_zero(dim):
         return ConnectionSampler.constant(np.zeros(dim))
 
     @staticmethod
@@ -82,11 +82,6 @@ def rhs_generator(g, A_dot_v):
     one per row of an A.v of shape (..., dim)."""
     # M[..., a, c] = -sum_b C[b, a, c] * Av[..., b]
     return -np.einsum("bac,...b->...ac", _structure_tensor(g), _floats(A_dot_v))
-
-
-def cartan_rhs(g, A_dot_v, lam):
-    """(dlambda/ds)_a = -C^c_{ba} (A.v)^b lambda_c."""
-    return DualVector(tuple(rhs_generator(g, A_dot_v) @ _floats(lam)))
 
 
 def cfl_bound(g, A_dot_v):
@@ -126,7 +121,7 @@ def step(lam, h, M0, M_mid=None, M_end=None, scheme="euler_paper", renormalize=F
     return lam_new
 
 
-def _expm(M, tol=1e-14):
+def _expm(M):
     """Scaling-and-squaring Taylor exponential, adequate for dim <= 4."""
     norm = np.linalg.norm(M, ord=np.inf)
     squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0 else 0
@@ -134,7 +129,7 @@ def _expm(M, tol=1e-14):
     out = np.eye(M.shape[0])
     term = np.eye(M.shape[0])
     k = 1
-    while np.linalg.norm(term, ord=np.inf) > tol and k < 60:
+    while np.linalg.norm(term, ord=np.inf) > 1e-14 and k < 60:
         term = term @ A / k
         out = out + term
         k += 1

@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import CFLViolation, cartan, euler2d, invariants, liealg, spencer
+from . import CFLViolation, NonFinite, cartan, euler2d, invariants, liealg, spencer
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -161,44 +161,44 @@ def simulate(doc, snapshot_cb=None):
     one rfft2 and one stage evaluation, with the markers stacked into one
     point array: they feed the state's record, the auto dt and its CFL gate,
     and k1 of the RK4 step that moves the vorticity and the markers together.
+    A state that leaves float64 is a config error at t=0 (finite config
+    values can still overflow it) and the numerical gate after that.
     """
     grid, vortices, curves, dt_conf, t_end, output_every = load_euler_config(doc)
-    t = 0.0
-    step = 0
-    try:  # finite config values can still overflow the initial state
+    ends = np.cumsum([len(c.points) for c in curves])[:-1]
+    points = np.concatenate([c.points for c in curves] or [euler2d.NO_POINTS])
+    t, step, records = 0.0, 0, []
+    try:
         zeta = euler2d.gaussian_vorticity(
             grid,
             [(x, y) for x, y, _, _ in vortices],
             [alpha for _, _, alpha, _ in vortices],
             [sigma for _, _, _, sigma in vortices],
         )
-        ends = np.cumsum([len(c.points) for c in curves])[:-1]
-        points = np.concatenate([c.points for c in curves] or [euler2d.NO_POINTS])
-        zhat = zeta.spectrum()
-        first = (zhat, *euler2d.stage(grid, zhat, points))  # (zhat, tendency, u, marker u)
-        records = [invariants.phi_triple(zeta, *first[2:], curves, t=t)]
-    except ValueError as exc:
-        raise ConfigError(f"the initial state of the config is not finite: {exc}") from exc
-    if snapshot_cb:
-        snapshot_cb(0, t, zeta, curves)
-    while t < t_end * (1 - 1e-12):
-        dt = first[2].cfl_dt() if dt_conf == "auto" else dt_conf
-        if not math.isfinite(dt):
-            dt = t_end - t
-        dt = min(dt, t_end - t)
-        zeta, points = euler2d.rk4_step(zeta, dt, points, first)
-        t += dt
-        step += 1
-        curves = [
-            euler2d.MarkerCurve(c.label, p) for c, p in zip(curves, np.split(points, ends))
-        ]
-        zhat = zeta.spectrum()
-        first = (zhat, *euler2d.stage(grid, zhat, points))
-        if step % output_every == 0 or t >= t_end * (1 - 1e-12):
-            records.append(invariants.phi_triple(zeta, *first[2:], curves, t=t))
-            if snapshot_cb:
-                snapshot_cb(step, t, zeta, curves)
-    return records, curves
+        while True:
+            zhat = zeta.spectrum()
+            first = (zhat, *euler2d.stage(grid, zhat, points))  # (zhat, tendency, u, marker u)
+            done = t >= t_end * (1 - 1e-12)
+            if step % output_every == 0 or done:
+                records.append(invariants.phi_triple(zeta, *first[2:], curves, t=t))
+                if snapshot_cb:
+                    snapshot_cb(step, t, zeta, curves)
+            if done:
+                return records, curves
+            dt = first[2].cfl_dt() if dt_conf == "auto" else dt_conf
+            if not math.isfinite(dt):
+                dt = t_end - t
+            dt = min(dt, t_end - t)
+            t += dt
+            step += 1
+            zeta, points = euler2d.rk4_step(zeta, dt, points, first)
+            curves = [
+                euler2d.MarkerCurve(c.label, p) for c, p in zip(curves, np.split(points, ends))
+            ]
+    except NonFinite as exc:
+        if step == 0:
+            raise ConfigError(f"the initial state of the config is not finite: {exc}") from exc
+        raise CFLViolation(f"non-finite state after the step to t={t}") from exc
 
 
 def write_invariant_csv(path, records, labels):
@@ -462,10 +462,8 @@ def cmd_lie(args):
             raise ConfigError(f"base must be comma-separated integers, not {args.base!r}") from None
         if args.factor == "sym":
             factor = spencer.sym_dimension_factor(g, max_p=len(base))
-        elif args.factor == "whitehead":
-            factor = spencer.whitehead_factor(g, max_p=len(base))
         else:
-            raise ConfigError(f"unknown factor preset {args.factor!r}")
+            factor = spencer.whitehead_factor(g, max_p=len(base))
         betti = spencer.spencer_betti(base, factor)
         payload = {
             "algebra": args.algebra,
@@ -516,8 +514,16 @@ def cmd_report(args):
 # ---------------------------------------------------------------- entry
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad or missing flag is a config error (exit 1), not argparse's exit 2,
+    which the CLI keeps for the numerical gate."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="spencerflow")
+    parser = _Parser(prog="spencerflow")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -532,7 +538,7 @@ def build_parser():
             p.add_argument("--max-q", type=int, default=3)
         if name == "betti":
             p.add_argument("--base", required=True)
-            p.add_argument("--factor", default="sym")
+            p.add_argument("--factor", choices=("sym", "whitehead"), default="sym")
         if name == "delta":
             p.add_argument("--kind", choices=("structural", "curvature"),
                            default="structural")
@@ -558,8 +564,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "lie":
             return cmd_lie(args)
         if args.command == "cartan":

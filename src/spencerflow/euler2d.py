@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import CFLViolation
+from . import CFLViolation, NonFinite
 
 # marker points per block of the direct Fourier sum in point_values. In a stage
 # the helper thread and the caller each take a block at a time beside the grid
@@ -86,7 +86,7 @@ class VorticityField:
         if vals.shape != (self.grid.N, self.grid.N):
             raise ValueError("field shape does not match the grid")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite vorticity values")
+            raise NonFinite("non-finite vorticity values")
         object.__setattr__(self, "values", vals)
 
     def spectrum(self):
@@ -205,7 +205,7 @@ class _MarkerSum:
     def __init__(self, grid, fhat, points):
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         if not np.all(np.isfinite(pts)):
-            raise ValueError("non-finite evaluation point")
+            raise NonFinite("non-finite evaluation point")
         self.grid, self.fhat, self.pts = grid, fhat, pts
         self.out = np.empty((len(pts), len(fhat)))
         self.starts = collections.deque(range(0, len(pts), BLOCK))

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import NonFinite
+
 EPS_DENOM = 1e-30  # guard for relative errors of near-zero invariants
 
 
@@ -21,15 +23,7 @@ class InvariantRecord:
         object.__setattr__(self, "I1", tuple(self.I1))
         vals = (self.t, self.I0, self.I2, self.div_max, *self.I1)
         if not all(np.isfinite(v) for v in vals):
-            raise ValueError("non-finite invariant record")
-
-
-@dataclass(frozen=True)
-class StrataGrid:
-    labels: np.ndarray  # N x N small ints; label = #{thresholds passed}
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+            raise NonFinite("non-finite invariant record")
 
 
 def total_vorticity(zeta):
@@ -83,7 +77,7 @@ def phi_triple(zeta, u, velocities, curves, t=0.0):
 
 
 def strata_classify(zeta, thresholds):
-    """label(x) = #{tau in thresholds : |zeta(x)| >= tau}."""
+    """label(x) = #{tau in thresholds : |zeta(x)| >= tau}, as an N x N int64 array."""
     thresholds = list(thresholds)
     if any(t < 0 for t in thresholds):
         raise ValueError("thresholds must be non-negative")
@@ -93,7 +87,7 @@ def strata_classify(zeta, thresholds):
     mag = np.abs(zeta.values)
     for tau in thresholds:
         labels += (mag >= tau).astype(np.int64)
-    return StrataGrid(labels)
+    return labels
 
 
 def conservation_report(series):

@@ -61,10 +61,6 @@ class LieAlgebraSpec:
                         ad[a][b].append((c, C[a][b][c]))
         object.__setattr__(self, "ad", tuple(tuple(map(tuple, row)) for row in ad))
 
-    def C(self, a, b, c):
-        """C^c_{ab}, the e_c coefficient of [e_a, e_b]."""
-        return self.structure_constants[a][b][c]
-
 
 def _freeze_constants(dim, entries):
     """Build the C[a][b][c] tuple from a dense nested list or sparse entries."""
@@ -98,10 +94,8 @@ def make_algebra(dim, labels, sparse_entries):
 
 
 def from_json(doc):
-    """Load a custom algebra from a parsed JSON document (or a JSON string):
+    """Load a custom algebra from a parsed JSON document:
     {dim, labels, constants: [[a, b, c, numerator, denominator], ...]}."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     if not isinstance(doc, dict):
         raise ValueError("algebra document must be a JSON object")
     allowed = {"dim", "labels", "constants"}
@@ -133,7 +127,7 @@ def preset(name):
     if name not in PRESET_NAMES:
         raise KeyError(f"unknown algebra preset: {name!r}")
     text = resources.files("spencerflow.presets").joinpath(f"{name}.json").read_text()
-    return from_json(text)
+    return from_json(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -164,9 +158,9 @@ class DualVector(_Coordinates):
     """Element of the dual space; houses the distribution function."""
 
 
-def basis_vector(g, a, scale=1):
+def basis_vector(g, a):
     coeffs = [Fraction(0)] * g.dim
-    coeffs[a] = _as_fraction(scale)
+    coeffs[a] = Fraction(1)
     return LieVector(tuple(coeffs))
 
 
@@ -219,12 +213,6 @@ def ad_matrix(g, X):
     _check_conforms(g, X)
     cols = [bracket(g, X, basis_vector(g, a)).coeffs for a in range(g.dim)]
     return [[cols[a][c] for a in range(g.dim)] for c in range(g.dim)]
-
-
-def coad_matrix(g, X):
-    """Matrix of ad*_X on coordinates of g*, i.e. -transpose(ad_matrix(X))."""
-    ad = ad_matrix(g, X)
-    return [[-ad[c][a] for c in range(g.dim)] for a in range(g.dim)]
 
 
 def coad_apply(g, X, lam):

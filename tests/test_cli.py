@@ -366,14 +366,32 @@ class TestExitCodeBoundary:
             (["lie", "betti", "--algebra", "su2", "--base", "a,1"], "base must be"),
             (["lie", "cohomology", "--algebra", "su2", "--p", "-1"], "p=-1"),
             (["euler", "gaussian", "--N", "100"], "N must be a power of two"),
+            # a bad or missing flag is exit 1 too: exit 2 is the numerical gate
+            (["lie", "cohomology", "--p", "x"], "spencerflow lie cohomology: argument --p: "),
+            (["lie", "delta", "--kind", "bogus"], "spencerflow lie delta: argument --kind: "),
+            (["cartan"], "spencerflow cartan: the following arguments are required: --config"),
+            (["euler", "gaussian", "--N", "abc"], "spencerflow euler gaussian: argument --N: "),
+            (
+                ["lie", "betti", "--algebra", "su2", "--base", "1", "--factor", "bogus"],
+                "spencerflow lie betti: argument --factor: invalid choice",
+            ),
         ],
-        ids=["betti-base", "cohomology-p", "euler-N"],
+        ids=[
+            "betti-base", "cohomology-p", "euler-N",
+            "flag-p", "flag-kind", "flag-config", "flag-N", "flag-factor",
+        ],
     )
     def test_load_site_errors_are_config_errors(self, capsys, argv, message):
         rc, out, err = run_cli(capsys, argv)
         assert rc == 1
         assert out == ""
         assert err.startswith("config error: ") and message in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["lie", "cohomology", "--help"])
+        assert info.value.code == 0
+        assert "--max-q" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "row, message",
@@ -415,6 +433,36 @@ class TestExitCodeBoundary:
         cfg = TestCartan.write_config(tmp_path / "c.json", s_end=0.01)
         with pytest.raises(ValueError, match="internal failure"):
             cli.main(["cartan", "--config", str(cfg)])
+
+    def test_internal_value_error_in_the_first_stage_propagates(self, monkeypatch, tmp_path):
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(eu, "stage", broken)
+        cfg = TestEuler.write_config(tmp_path / "e.json")
+        with pytest.raises(ValueError, match="internal failure") as info:
+            cli.main(["euler", "run", "--config", str(cfg)])
+        assert not isinstance(info.value, cli.ConfigError)
+
+    def test_state_leaving_float64_after_a_step_is_gate_exit(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        rk4_step = eu.rk4_step
+
+        def overflowing(zeta, dt, points, first):
+            zeta, points = rk4_step(zeta, dt, points, first)
+            return eu.VorticityField(zeta.grid, zeta.values * 1e308 * 1e308), points
+
+        monkeypatch.setattr(eu, "rk4_step", overflowing)
+        cfg = TestEuler.write_config(
+            tmp_path / "e.json", vortices=[{"x": 3.0, "y": 3.0, "alpha": 2.0, "sigma": 0.7}]
+        )
+        rc, out, err = run_cli(capsys, ["euler", "run", "--config", str(cfg)])
+        assert rc == 2
+        assert out == ""
+        prefix = "numerical gate: non-finite state after the step to t="
+        assert err.startswith(prefix)
+        assert 0.0 < float(err[len(prefix):]) < 0.2  # the first step, not t=0 or t_end
 
 
 class TestModuleEntry:

@@ -79,17 +79,19 @@ class TestAdCoad:
         assert [row[2] for row in M] == [0, 0, 0]
 
     def test_coad_is_negative_transpose_random(self, su2, sl2):
+        # ad*_X lam == -ad_matrix(X)^T lam, exactly
         rng = random.Random(7)
+
+        def rational():
+            return F(rng.randint(-9, 9), rng.randint(1, 5))
+
         for g in (su2, sl2):
             for _ in range(50):
-                X = la.LieVector(
-                    tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
-                )
+                X = la.LieVector(tuple(rational() for _ in range(3)))
+                lam = la.DualVector(tuple(rational() for _ in range(3)))
                 ad = la.ad_matrix(g, X)
-                coad = la.coad_matrix(g, X)
-                for a in range(3):
-                    for c in range(3):
-                        assert coad[a][c] == -ad[c][a]
+                want = tuple(-sum(ad[c][a] * lam.coeffs[c] for c in range(3)) for a in range(3))
+                assert la.coad_apply(g, X, lam).coeffs == want
 
     def test_pairing_identity_all_basis_pairs(self, su2):
         # <ad*_X lam, Y> + <lam, [X, Y]> == 0
@@ -161,8 +163,6 @@ class TestStabilizer:
         lam = la.DualVector((0.1, 0.0, 1.0))
         with pytest.raises(ValueError, match="float"):
             la.stabilizer_subalgebra(su2, lam)
-        with pytest.raises(ValueError, match="float"):
-            la.basis_vector(su2, 0, scale=0.5)
         with pytest.raises(ValueError, match="float"):
             la.make_algebra(2, ["x", "y"], [(0, 1, 0, 0.5)])
 

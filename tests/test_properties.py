@@ -102,7 +102,8 @@ def test_point_values_match_the_direct_sum(N, L, seed, count, P):
         assert np.max(np.abs(col - ref), initial=0.0) <= 1e-12 * scale
 
 
-# --- exact layer: each operation against a dense formula read from g.C ---
+# --- exact layer: each operation against a dense formula read from the
+# structure constants g.structure_constants[a][b][c] = C^c_{ab} ---
 
 ALGEBRAS = {name: la.preset(name) for name in ("su2", "so3", "sl2")}
 ALGEBRAS.update(so4=so4_permuted(), sl3=sl3())
@@ -124,20 +125,20 @@ def tensors(dim):
 
 
 def dense_coad(g, X, lam):
-    n = range(g.dim)
+    n, C = range(g.dim), g.structure_constants
     return tuple(
-        sum(g.C(a, b, c) * X.coeffs[b] * lam.coeffs[c] for b in n for c in n) for a in n
+        sum(C[a][b][c] * X.coeffs[b] * lam.coeffs[c] for b in n for c in n) for a in n
     )
 
 
 def dense_rho(g, a, X):
     """rho(e_a) X: every slot y of every monomial replaced by [e_a, e_y]."""
-    terms = {}
+    C, terms = g.structure_constants, {}
     for idx, coeff in X.terms.items():
         for j in range(len(idx)):
             for c in range(g.dim):
                 new = tuple(sorted(idx[:j] + (c,) + idx[j + 1:]))
-                terms[new] = terms.get(new, 0) + coeff * g.C(a, idx[j], c)
+                terms[new] = terms.get(new, 0) + coeff * C[a][idx[j]][c]
     return sp.SymTensor(g.dim, X.degree, terms)
 
 
@@ -163,13 +164,13 @@ def test_curvature_delta_is_rho_of_omega(g, data):
 @given(algebras, st.data())
 def test_structural_delta_matches_the_dense_triple_loop(g, data):
     X = data.draw(tensors(g.dim))
-    terms = {}
+    C, terms = g.structure_constants, {}
     for idx, coeff in X.terms.items():
         for i in range(g.dim):
             for j in range(len(idx)):
                 for c in range(g.dim):
                     new = tuple(sorted(idx[:j] + (c, i) + idx[j + 1:]))
-                    terms[new] = terms.get(new, 0) + coeff * g.C(i, idx[j], c)
+                    terms[new] = terms.get(new, 0) + coeff * C[i][idx[j]][c]
     want = sp.SymTensor(g.dim, X.degree + 1, terms)
     assert sp.spencer_delta_structural(g, X) == want
 
@@ -177,8 +178,8 @@ def test_structural_delta_matches_the_dense_triple_loop(g, data):
 @given(algebras, st.data())
 def test_stabilizer_is_the_kernel_of_the_dense_coadjoint_matrix(g, data):
     lam = la.DualVector(data.draw(vectors(g.dim)))
-    n = range(g.dim)
-    dense = [{b: sum(g.C(a, b, c) * lam.coeffs[c] for c in n) for b in n} for a in n]
+    n, C = range(g.dim), g.structure_constants
+    dense = [{b: sum(C[a][b][c] * lam.coeffs[c] for c in n) for b in n} for a in n]
     basis = la.stabilizer_subalgebra(g, lam)
     assert len(basis) == g.dim - _exact.rank(dense)
     for X in basis:
