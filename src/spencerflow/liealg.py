@@ -5,6 +5,7 @@ stored as C[a][b][c]. Antisymmetry in (a, b) is enforced at construction; the
 Jacobi identity is *not* assumed, it is checkable via jacobi_residual.
 """
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -193,18 +194,16 @@ def bracket(g, X, Y):
 
 
 def jacobi_residual(g):
-    """Max-norm over basis triples of [e_a,[e_b,e_c]] + cyclic, exact."""
+    """Max-norm over basis triples of [e_a,[e_b,e_c]] + cyclic, exact. The bracket is
+    antisymmetric, so this sum is alternating and a < b < c covers every triple."""
     worst = Fraction(0)
-    basis = [basis_vector(g, i) for i in range(g.dim)]
-    for a in range(g.dim):
-        for b in range(g.dim):
-            for c in range(g.dim):
-                total = (
-                    bracket(g, basis[a], bracket(g, basis[b], basis[c]))
-                    + bracket(g, basis[b], bracket(g, basis[c], basis[a]))
-                    + bracket(g, basis[c], bracket(g, basis[a], basis[b]))
-                )
-                worst = max(worst, max(abs(x) for x in total.coeffs))
+    for a, b, c in itertools.combinations(range(g.dim), 3):
+        total = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for w, v in g.ad[y][z]:
+                for d, u in g.ad[x][w]:
+                    total[d] = total.get(d, 0) + u * v
+        worst = max([worst, *map(abs, total.values())])
     return worst
 
 
@@ -230,20 +229,19 @@ def coad_apply(g, X, lam):
 
 
 def killing_form(g):
-    """B_{ab} = trace(ad_{e_a} ad_{e_b})."""
-    ads = [ad_matrix(g, basis_vector(g, a)) for a in range(g.dim)]
-    B = [[Fraction(0)] * g.dim for _ in range(g.dim)]
-    for a in range(g.dim):
-        for b in range(g.dim):
-            B[a][b] = sum(
-                ads[a][i][j] * ads[b][j][i] for i in range(g.dim) for j in range(g.dim)
-            )
-    return B
+    """B_{ab} = trace(ad_{e_a} ad_{e_b}) = sum_{y,c} C^c_{ay} C^y_{bc}."""
+    ad = [[dict(ad_bc) for ad_bc in ad_b] for ad_b in g.ad]
+    return [
+        [sum((u * ad_b[c].get(y, 0) for y, ad_ay in enumerate(ad_a) for c, u in ad_ay),
+             Fraction(0)) for ad_b in ad]
+        for ad_a in g.ad
+    ]
 
 
 def is_semisimple(g):
-    """Cartan's criterion: the Killing form is non-degenerate."""
-    return _exact.rank([dict(enumerate(r)) for r in killing_form(g)]) == g.dim
+    """Cartan's criterion on a bracket that satisfies Jacobi exactly."""
+    B = killing_form(g)
+    return jacobi_residual(g) == 0 and _exact.rank([dict(enumerate(r)) for r in B]) == g.dim
 
 
 def center_basis(g):

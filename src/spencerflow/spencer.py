@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb
 
 from . import _exact
-from .liealg import DimensionMismatch
+from .liealg import DimensionMismatch, is_semisimple
 
 
 @dataclass(frozen=True)
@@ -208,15 +208,24 @@ def _ce_differential(g, p, q):
     return cols
 
 
-def ce_cohomology_dims(g, p, max_q):
+def _full_complex_dims(g, p, max_q):
     """[dim H^q(g, Sym^p g) for q = 0..max_q], ranking each CE differential
     d_0 .. d_min(max_q, dim - 1) exactly once; d_{-1} and d_dim are zero."""
-    if p < 0 or max_q < 0:
-        raise ValueError(f"degrees must be non-negative (p={p}, max_q={max_q})")
     ranks = [_exact.rank(_ce_differential(g, p, q)) for q in range(min(max_q + 1, g.dim))]
     ranks = [0] + ranks + [0] * (max_q + 1 - len(ranks))
     D = sym_space_dim(g.dim, p)
     return [comb(g.dim, q) * D - ranks[q + 1] - ranks[q] for q in range(max_q + 1)]
+
+
+def ce_cohomology_dims(g, p, max_q):
+    """[dim H^q(g, Sym^p g) for q = 0..max_q]. A semisimple g has H^q(g, V) = H^q(g) (x) V^g
+    (Hochschild & Serre, Ann. Math. 57 (1953)): rank the p = 0 complex, count (Sym^p g)^g."""
+    if p < 0 or max_q < 0:
+        raise ValueError(f"degrees must be non-negative (p={p}, max_q={max_q})")
+    if p > 0 and is_semisimple(g):
+        invariants = invariant_subspace_dim(g, p)
+        return [h * invariants for h in _full_complex_dims(g, 0, max_q)]
+    return _full_complex_dims(g, p, max_q)
 
 
 def ce_cohomology_dim(g, p, q):

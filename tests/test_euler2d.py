@@ -117,6 +117,18 @@ class TestVelocityInversion:
         u = eu.velocity_from_vorticity(zeta)
         assert u.max_speed() == 0.0
 
+    def test_max_speed_where_squares_and_hypot_order_differently(self, grid):
+        # u_x² + u_y² ranks the second point higher, hypot the first: the max
+        # must still be the first point's hypot, as the plain expression gives
+        first = (-1.4235195912828331, -0.5091135415064895)
+        second = (-1.3397514365059482, 0.7004789170928504)
+        assert math.hypot(*first) > math.hypot(*second)
+        assert first[0] ** 2 + first[1] ** 2 < second[0] ** 2 + second[1] ** 2
+        u_x, u_y = np.zeros((2, 64, 64))
+        (u_x[3, 5], u_y[3, 5]), (u_x[40, 7], u_y[40, 7]) = first, second
+        u = eu.VelocityField(grid, u_x, u_y)
+        assert u.max_speed() == float(np.max(np.hypot(u_x, u_y))) == math.hypot(*first)
+
     def test_velocity_field_holds_only_its_components(self):
         names = [f.name for f in dataclasses.fields(eu.VelocityField)]
         assert names == ["grid", "u_x", "u_y"]

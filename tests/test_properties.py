@@ -1,9 +1,11 @@
 """Hypothesis properties of the Euler spectral core and of the exact layer."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_spencer import sl3, so4_permuted
 
@@ -41,6 +43,20 @@ def test_rk4_step_conserves_total_vorticity(N, seed, amp):
     after, _ = eu.rk4_step(zeta, 0.5 * eu.velocity_from_vorticity(zeta).cfl_dt())
     scale = float(np.sum(np.abs(zeta.values))) * zeta.grid.dx**2
     assert abs(inv.total_vorticity(after) - inv.total_vorticity(zeta)) <= 1e-14 * scale
+
+
+@given(sizes, seeds, st.sampled_from([0.0, 1e-310, 1e-160, 1.0, 1e150, 1e300]), st.integers(0, 64))
+def test_max_speed_has_the_bits_of_the_hypot_max(N, seed, scale, ties):
+    """Against the plain max(hypot(u_x, u_y)), with `ties` points moved onto the
+    circle of the largest speed, where u_x² + u_y² and hypot round differently."""
+    rng = np.random.default_rng(seed)
+    u_x, u_y = scale * rng.standard_normal((2, N, N))
+    r = np.max(np.hypot(u_x, u_y))
+    angle = rng.uniform(0.0, 2.0 * np.pi, ties)
+    at = rng.integers(0, N, (2, ties))
+    u_x[tuple(at)], u_y[tuple(at)] = r * np.cos(angle), r * np.sin(angle)
+    u = eu.VelocityField(eu.GridSpec(N), u_x, u_y)
+    assert u.max_speed() == float(np.max(np.hypot(u_x, u_y)))
 
 
 @given(sizes, lengths)
@@ -203,3 +219,82 @@ def test_ad_table_holds_the_nonzero_structure_constants(dim, data):
         tuple(tuple((c, v) for c, v in enumerate(C[a][b]) if v) for b in range(dim))
         for a in range(dim)
     )
+
+
+def dense_killing_form(g):
+    n, C = range(g.dim), g.structure_constants
+    return [[sum(C[a][y][c] * C[b][c][y] for y in n for c in n) for b in n] for a in n]
+
+
+def dense_jacobi_residual(g):
+    """Max over every ordered triple of the coordinates of
+    [e_a, [e_b, e_c]] + [e_b, [e_c, e_a]] + [e_c, [e_a, e_b]]."""
+    n, C = range(g.dim), g.structure_constants
+
+    def nested(a, b, c, d):  # coordinate d of [e_a, [e_b, e_c]]
+        return sum(C[b][c][w] * C[a][w][d] for w in n)
+
+    return max(
+        abs(nested(a, b, c, d) + nested(b, c, a, d) + nested(c, a, b, d))
+        for a in n for b in n for c in n for d in n
+    )
+
+
+KILLING_AND_JACOBI_CASES = dict(
+    ALGEBRAS, abelian1=la.preset("abelian1"), abelian3=la.preset("abelian3")
+)
+KILLING_AND_JACOBI_CASES["su2_broken"] = la.make_algebra(  # [e1, e2] = e1 + e3 breaks Jacobi
+    3, ["e1", "e2", "e3"], [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (0, 1, 0, 1)]
+)
+
+
+@pytest.mark.parametrize("name", sorted(KILLING_AND_JACOBI_CASES))
+def test_sparse_killing_form_and_jacobi_residual_match_the_dense_sums(name):
+    g = KILLING_AND_JACOBI_CASES[name]
+    assert la.killing_form(g) == dense_killing_form(g)
+    assert la.jacobi_residual(g) == dense_jacobi_residual(g)
+    assert (la.jacobi_residual(g) == 0) == (name != "su2_broken")
+
+
+def change_of_basis(g, P):
+    """g in the basis f_a = sum_i P[i][a] e_i: [f_a, f_b] = sum_ij P[i][a] P[j][b] [e_i, e_j],
+    read back in the f basis by solving P x = w (the one nullspace vector of [P | -w])."""
+    n, C = range(g.dim), g.structure_constants
+    entries = []
+    for a, b in itertools.combinations(n, 2):
+        w = [sum(P[i][a] * P[j][b] * C[i][j][k] for i in n for j in n) for k in n]
+        (x,) = _exact.nullspace([{**dict(enumerate(P[k])), g.dim: -w[k]} for k in n], g.dim + 1)
+        entries += [(a, b, c, v) for c, v in enumerate(x[:g.dim]) if v]
+    return la.make_algebra(g.dim, g.basis_labels, entries)
+
+
+@st.composite
+def basis_changes(draw, dim):
+    """P = D S_1 S_2 ...: a nonzero rational diagonal, then up to three shears
+    (column j += r column i), each invertible; a few shears keep the full
+    complex of so(4) at p = 2 under a second."""
+    nonzero = rationals.filter(bool)
+    P = [[draw(nonzero) if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
+    pairs = st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True)
+    for i, j in draw(st.lists(pairs, max_size=3 if dim == 3 else 2)):
+        r = draw(rationals)
+        for row in P:
+            row[j] += r * row[i]
+    return P
+
+
+SEMISIMPLE = {name: ALGEBRAS[name] for name in ("sl2", "so3", "so4")}
+SEMISIMPLE_DIMS = {
+    name: [sp._full_complex_dims(g, p, g.dim) for p in range(3)] for name, g in SEMISIMPLE.items()
+}
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(SEMISIMPLE)), st.data())
+def test_factored_dims_match_the_full_complex_in_any_basis(name, data):
+    g = SEMISIMPLE[name]
+    h = change_of_basis(g, data.draw(basis_changes(g.dim)))
+    assert la.is_semisimple(h)
+    for p in range(3):
+        dims = sp.ce_cohomology_dims(h, p, g.dim)
+        assert dims == sp._full_complex_dims(h, p, g.dim) == SEMISIMPLE_DIMS[name][p]

@@ -209,6 +209,24 @@ def sl3():
     return la.make_algebra(8, [f"x{i}" for i in range(8)], entries)
 
 
+def e3():
+    """e(3) = so(3) + R^3, the Euclidean algebra: [J_i, J_j] = eps_ijk J_k,
+    [J_i, P_j] = eps_ijk P_k, [P_i, P_j] = 0. Not semisimple: R^3 is an ideal."""
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    entries = [(i, j, k, 1) for i, j, k in cyclic]
+    entries += [(i, j + 3, k + 3, 1) for i, j, k in cyclic]
+    entries += [(j, i + 3, k + 3, -1) for i, j, k in cyclic]
+    return la.make_algebra(6, ["J1", "J2", "J3", "P1", "P2", "P3"], entries)
+
+
+def ranks_taken(monkeypatch):
+    """Patch _exact.rank to record the row count of every matrix it ranks."""
+    ranked = []
+    rank = sp._exact.rank
+    monkeypatch.setattr(sp._exact, "rank", lambda rows: ranked.append(len(rows)) or rank(rows))
+    return ranked
+
+
 @pytest.fixture(scope="module")
 def so4():
     return so4_permuted()
@@ -233,11 +251,45 @@ class TestCEDifferential:
         assert max(max(col, default=0) for col in d2) < 20 * 21
 
     def test_each_differential_ranked_once(self, so4, monkeypatch):
-        ranked = []
-        rank = sp._exact.rank
-        monkeypatch.setattr(sp._exact, "rank", lambda rows: ranked.append(rows) or rank(rows))
-        sp.ce_cohomology_dims(so4, 2, 6)
-        assert len(ranked) == 6
+        # the full path: d_0 .. d_5 of Lambda^q (x) Sym^2, each ranked once; on a
+        # non-semisimple algebra it follows the one Killing-form rank
+        ranked = ranks_taken(monkeypatch)
+        full = [comb(6, q) * 21 for q in range(6)]
+        sp._full_complex_dims(so4, 2, 6)
+        assert ranked == full
+        ranked.clear()
+        sp.ce_cohomology_dims(e3(), 2, 6)
+        assert ranked == [6] + full
+
+    def test_factored_path_ranks_only_the_trivial_complex(self, so4, monkeypatch):
+        # so(4) is semisimple: the Killing form, then d_0 .. d_5 of Lambda^q alone
+        ranked = ranks_taken(monkeypatch)
+        assert sp.ce_cohomology_dims(so4, 2, 6) == [2, 0, 0, 4, 0, 0, 2]
+        assert ranked == [6] + [comb(6, q) for q in range(6)]
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_sl3_factored_against_full(self, p):
+        g = sl3()
+        assert la.is_semisimple(g)
+        assert sp.ce_cohomology_dims(g, p, 9) == sp._full_complex_dims(g, p, 9)
+
+    def test_bracket_breaking_jacobi_keeps_the_full_complex(self, monkeypatch):
+        # su2 with [e1, e2] = e1 + e3: antisymmetric, Killing form of rank 3, but
+        # not a Lie algebra, so Hochschild-Serre does not apply
+        bad = la.make_algebra(3, ["e1", "e2", "e3"],
+                              [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (0, 1, 0, 1)])
+        killing = [dict(enumerate(r)) for r in la.killing_form(bad)]
+        assert la.jacobi_residual(bad) > 0 and sp._exact.rank(killing) == 3
+        assert not la.is_semisimple(bad)
+        ranked = ranks_taken(monkeypatch)
+        for p in range(3):
+            ranked.clear()
+            dims = sp.ce_cohomology_dims(bad, p, 3)
+            assert ranked == [comb(3, q) * sp.sym_space_dim(3, p) for q in range(3)]
+            assert dims == sp._full_complex_dims(bad, p, 3)
+        # and the shortcut would have changed the output
+        factored = [h * sp.invariant_subspace_dim(bad, 2) for h in sp._full_complex_dims(bad, 0, 3)]
+        assert sp.ce_cohomology_dims(bad, 2, 3) != factored
 
     def test_so4_permuted_sym2(self, so4):
         assert sp.ce_cohomology_dims(so4, 2, 6) == [2, 0, 0, 4, 0, 0, 2]
