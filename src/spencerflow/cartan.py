@@ -94,6 +94,62 @@ def cfl_bound(g, A_dot_v):
         return 1.0 / worst
 
 
+SCHEMES = ("euler_paper", "rk4")
+CHUNK = 256  # steps whose generators integrate builds at once
+
+
+def _check_scheme(scheme):
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _mul(X, Y):
+    """X @ Y for matrices stored as (d, d) or (d, d, n) arrays, the step axis
+    last: the sum over j runs as whole-array passes over contiguous steps,
+    in the order j = 0, 1, ..., and stays off BLAS gemm."""
+    return sum(X[:, j, None] * Y[None, j] for j in range(len(X)))
+
+
+def _generators(h, M0, M_mid, M_end, scheme):
+    """The step generators G with lambda(s+h) = lambda + h * (G @ lambda), from
+    the generators M at each step's start, midpoint and end, as (d, d) arrays
+    for one step or (d, d, n) arrays with h of shape (n,) for n steps.
+
+    euler_paper is G = M0. rk4 is the classical 4-stage scheme written as a
+    matrix polynomial: its stages are k_i = A_i lambda with A_1 = M0,
+    A_2 = M_mid + (h/2 M_mid) A_1, A_3 = M_mid + (h/2 M_mid) A_2 and
+    A_4 = M_end + (h M_end) A_3, so G = (A_1 + 2 A_2 + 2 A_3 + A_4) / 6.
+    Each product takes h on its left factor, whose entries the CFL gate
+    keeps below 1, so G leaves float64 only where M does.
+    """
+    if scheme == "euler_paper":
+        return M0
+    half = h / 2 * M_mid
+    A2 = M_mid + _mul(half, M0)
+    A3 = M_mid + _mul(half, A2)
+    A4 = M_end + _mul(h * M_end, A3)
+    return (M0 + 2 * A2 + 2 * A3 + A4) / 6
+
+
+def _steps_last(M):
+    """A contiguous copy of a stack of matrices (n, d, d) as (d, d, n)."""
+    return np.ascontiguousarray(np.moveaxis(M, 0, -1))
+
+
+def _advance(lam, h, G, renormalize):
+    """Fill lam[n + 1] = lam[n] + h[n] * (G[n] @ lam[n]) for each step n, where
+    lam has one row more than h and G and its first row is given; renormalize
+    rescales each new row to the norm of the row before it."""
+    cur = lam[0]
+    for Gn, hn, nxt in zip(G, h, lam[1:]):
+        nxt[...] = cur + hn * Gn.dot(cur)
+        if renormalize:
+            norm1 = np.linalg.norm(nxt)
+            if norm1 > 0:
+                nxt *= np.linalg.norm(cur) / norm1
+        cur = nxt
+
+
 def step(lam, h, M0, M_mid=None, M_end=None, scheme="euler_paper", renormalize=False):
     """One characteristic step of size h from lam, given the generators M at
     the step's start, midpoint and end (the last two only for rk4).
@@ -103,22 +159,11 @@ def step(lam, h, M0, M_mid=None, M_end=None, scheme="euler_paper", renormalize=F
     rk4 is the classical 4-stage scheme on the same right-hand side.
     renormalize rescales lambda back to its norm at step entry.
     """
-    if scheme == "euler_paper":
-        lam_new = lam + h * (M0 @ lam)
-    elif scheme == "rk4":
-        k1 = M0 @ lam
-        k2 = M_mid @ (lam + h / 2 * k1)
-        k3 = M_mid @ (lam + h / 2 * k2)
-        k4 = M_end @ (lam + h * k3)
-        lam_new = lam + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if renormalize:
-        norm0 = np.linalg.norm(lam)
-        norm1 = np.linalg.norm(lam_new)
-        if norm1 > 0:
-            lam_new = lam_new * (norm0 / norm1)
-    return lam_new
+    _check_scheme(scheme)
+    out = np.empty((2, len(lam)))
+    out[0] = lam
+    _advance(out, (h,), _generators(h, M0, M_mid, M_end, scheme)[None], renormalize)
+    return out[1]
 
 
 def _expm(M):
@@ -153,8 +198,11 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
     The base-point path x_n = x_0 + sum h_i v does not depend on lambda, so
     A.v is contracted at every state (and, for rk4, every midpoint) and the
     CFL gate is checked on every step before the lambda recursion starts.
+    The recursion is linear, so each step is one matrix-vector product with
+    its generator G (see _generators), built for CHUNK steps at a time.
     Overflow is not reported by numpy here: a base point or a lambda that
     leaves float64 raises the gate instead."""
+    _check_scheme(scheme)
     C = _structure_tensor(g)
     n_full = int(s_end / ds)
     rem = s_end - n_full * ds
@@ -183,8 +231,12 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
     lam0 = _floats(lam0)
     lam = np.empty((len(s), len(lam0)))
     lam[0] = lam0
-    for n, hn in enumerate(h):
-        lam[n + 1] = step(lam[n], hn, M[n], M_mid[n], M[n + 1], scheme, renormalize)
+    hs = np.array(h)
+    for n in range(0, len(h), CHUNK):
+        end = min(n + CHUNK, len(h))
+        stacks = (M[n:end], M_mid[n:end], M[n + 1 : end + 1])
+        G = _generators(hs[n:end], *map(_steps_last, stacks), scheme)
+        _advance(lam[n : end + 1], h[n:end], np.moveaxis(G, -1, 0).copy(), renormalize)
     bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
     if bad.size:
         raise CFLViolation(f"non-finite state after the step to s={s[bad[0]]}")

@@ -313,7 +313,7 @@ def load_cartan_config(doc):
     if s_end < 0:
         raise ConfigError(f"s_end must be non-negative, not {s_end!r}")
     scheme = doc.get("scheme", "euler_paper")
-    if scheme not in ("euler_paper", "rk4"):
+    if scheme not in cartan.SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
     renormalize = doc.get("renormalize", False)
     if not isinstance(renormalize, bool):
@@ -447,6 +447,12 @@ def cmd_lie(args):
     if args.subcommand == "cohomology":
         if args.p < 0 or args.max_q < 0:
             raise ConfigError(f"degrees must be non-negative (p={args.p}, max_q={args.max_q})")
+        resid = liealg.jacobi_residual(g)
+        if resid != 0:  # d^2 != 0, and the "dimensions" would be meaningless
+            raise ConfigError(
+                f"the bracket of {args.algebra} breaks the Jacobi identity "
+                f"(jacobi residual {resid}); see `spencerflow lie verify --algebra {args.algebra}`"
+            )
         dims = spencer.ce_cohomology_dims(g, args.p, args.max_q)
         payload = {"algebra": args.algebra, "p": args.p, "dims": dims}
         _print_or_dump(

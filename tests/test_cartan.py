@@ -312,21 +312,38 @@ def structure_tensor_loop(g):
     return C
 
 
-def reference_step(C, lam, A, x, v, ds, scheme, renormalize):
-    """One step with a fresh single-point contraction at every stage."""
+def rk4_generator(M0, M_mid, M_end, h):
+    """One step's rk4 generator G, lambda(s+h) = lambda + h * (G @ lambda),
+    product by product on single 3x3 matrices."""
 
-    def f(sigma, lam_in):
+    def mul(X, Y):
+        return np.einsum("ij,jk->ik", X, Y)
+
+    A2 = M_mid + mul(h / 2 * M_mid, M0)
+    A3 = M_mid + mul(h / 2 * M_mid, A2)
+    A4 = M_end + mul(h * M_end, A3)
+    return (M0 + 2 * A2 + 2 * A3 + A4) / 6
+
+
+def reference_step(C, lam, A, x, v, ds, scheme, renormalize, stages=False):
+    """One step with a fresh single-point contraction at every stage. stages
+    runs rk4 as the classical recursion k1..k4 instead of through its
+    generator."""
+
+    def M(sigma):
         Av = A.contract((x + sigma * v)[None, :], v)[0]
-        return -np.einsum("bac,b->ac", C, Av) @ lam_in
+        return -np.einsum("bac,b->ac", C, Av)
 
     if scheme == "euler_paper":
-        lam_new = lam + ds * f(0.0, lam)
-    else:
-        k1 = f(0.0, lam)
-        k2 = f(ds / 2, lam + ds / 2 * k1)
-        k3 = f(ds / 2, lam + ds / 2 * k2)
-        k4 = f(ds, lam + ds * k3)
+        lam_new = lam + ds * (M(0.0) @ lam)
+    elif stages:
+        k1 = M(0.0) @ lam
+        k2 = M(ds / 2) @ (lam + ds / 2 * k1)
+        k3 = M(ds / 2) @ (lam + ds / 2 * k2)
+        k4 = M(ds) @ (lam + ds * k3)
         lam_new = lam + ds / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    else:
+        lam_new = lam + ds * (rk4_generator(M(0.0), M(ds / 2), M(ds), ds) @ lam)
     if renormalize:
         norm1 = np.linalg.norm(lam_new)
         if norm1 > 0:
@@ -334,7 +351,7 @@ def reference_step(C, lam, A, x, v, ds, scheme, renormalize):
     return lam_new
 
 
-def reference_loop(g, lam0, A, v, ds, s_end, scheme, renormalize):
+def reference_loop(g, lam0, A, v, ds, s_end, scheme, renormalize, stages=False):
     """integrate's recursion one state at a time, with a tensor built entry by
     entry and the base point advanced by repeated addition."""
     C = structure_tensor_loop(g)
@@ -343,7 +360,7 @@ def reference_loop(g, lam0, A, v, ds, s_end, scheme, renormalize):
     n_full = int(s_end / ds)
     rem = s_end - n_full * ds
     for h in [ds] * n_full + ([rem] if rem > 1e-15 * max(1.0, abs(s_end)) else []):
-        lam.append(reference_step(C, lam[-1], A, x[-1], v, h, scheme, renormalize))
+        lam.append(reference_step(C, lam[-1], A, x[-1], v, h, scheme, renormalize, stages))
         s.append(s[-1] + h)
         x.append(x[-1] + h * v)
     return np.array(s), np.array(x), np.array(lam)
@@ -394,24 +411,130 @@ def test_integrate_matches_reference_loop(name, scheme, renorm, a, lam, ds, n, f
         assert np.array_equal(got_arr, want_arr)
 
 
+@given(
+    st.sampled_from(["su2", "so3", "sl2"]),
+    st.booleans(),
+    units,
+    units,
+    st.floats(1e-3, 0.2),
+    st.integers(1, 12),
+    st.floats(0.05, 0.95),
+)
+def test_rk4_matches_the_per_stage_recursion(name, renorm, a, lam, ds, n, frac):
+    # The generator form rounds differently from k1..k4; over 3000 random
+    # cases the gap stayed below 0.6 eps per step of max|lambda|.
+    g, A = la.preset(name), ca.ConnectionSampler.constant(la.LieVector(a))
+    s_end = (n + frac) * ds
+    args = (g, la.DualVector(lam), A, (1.0,), ds, s_end, "rk4", renorm)
+    _, _, got = ca.integrate(*args)
+    _, _, want = reference_loop(*args, stages=True)
+    steps = len(got) - 1
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(got - want)) <= 2 * eps * steps * np.max(np.abs(want))
+
+
+def test_rk4_generator_stays_finite_where_the_stages_do(su2):
+    # |M| = 1e200 at a step the CFL gate allows: M @ M would overflow, while
+    # (h M) @ M and the k1..k4 recursion stay finite
+    A = ca.ConnectionSampler.constant(la.LieVector((0.0, 0.0, 1e200)))
+    args = (su2, LAM0, A, (1.0,), 1e-201, 1e-199, "rk4", False)
+    _, _, got = ca.integrate(*args)
+    _, _, want = reference_loop(*args, stages=True)
+    assert np.max(np.abs(got - want)) <= 2 * np.finfo(float).eps * (len(got) - 1)
+
+
+@pytest.mark.parametrize("scheme", ["euler_paper", "rk4"])
+def test_chunk_boundaries_keep_the_bits(su2, scheme):
+    A = ca.ConnectionSampler.constant(la.LieVector(unit((0.3, -0.5, 0.8))))
+    lam0 = la.DualVector(unit((1.0, 2.0, -0.5)))
+    s_end = (2 * ca.CHUNK + 7.5) * 1e-3  # two full chunks and a partial one
+    got = ca.integrate(su2, lam0, A, (1.0,), 1e-3, s_end, scheme, True)
+    want = reference_loop(su2, lam0, A, (1.0,), 1e-3, s_end, scheme, True)
+    assert len(got[0]) == 2 * ca.CHUNK + 9
+    for got_arr, want_arr in zip(got, want):
+        assert np.array_equal(got_arr, want_arr)
+
+
+@pytest.mark.parametrize("scheme", ["euler_paper", "rk4"])
+@pytest.mark.parametrize("renorm", [False, True])
+def test_step_is_one_step_of_integrate(su2, scheme, renorm):
+    A = ca.ConnectionSampler.constant(la.LieVector(unit((0.3, -0.5, 0.8))))
+    lam0 = la.DualVector(unit((1.0, 2.0, -0.5)))
+    _, x, lam = ca.integrate(su2, lam0, A, (1.0,), 0.1, 0.1, scheme, renorm)
+    M = ca.rhs_generator(su2, A.contract(np.array([[0.0], [0.05], [0.1]]), (1.0,)))
+    out = ca.step(lam[0], 0.1, M[0], M[1], M[2], scheme, renorm)
+    assert np.array_equal(out, lam[1])
+
+
+def test_integrate_rejects_an_unknown_scheme_before_any_work(su2):
+    calls = []
+
+    def sample(x, mu):
+        calls.append(mu)
+        return np.array(E3.coeffs)
+
+    with pytest.raises(ValueError, match="unknown scheme 'rk2'"):
+        ca.integrate(su2, LAM0, ca.ConnectionSampler(3, sample), (1.0,), 0.1, 0.0, "rk2")
+    assert calls == []
+
+
+@pytest.mark.parametrize("scheme, ds", [("euler_paper", 0.1), ("rk4", 0.01)])
+def test_renormalize_holds_the_norm_where_lambda_would_overflow(scheme, ds):
+    # lambda grows as e^(2s) on sl2 and, unrenormalized, leaves float64 near
+    # s = 389; each step's rescale keeps every row on the sphere of radius sqrt(3).
+    g = la.preset("sl2")
+    A = ca.ConnectionSampler.constant(la.LieVector((1.0, 0.0, 0.0)))
+    lam0 = la.DualVector((1.0, 1.0, 1.0))
+    s, _, lam = ca.integrate(g, lam0, A, (1.0,), ds, 400.0, scheme, True)
+    assert s[-1] == pytest.approx(400.0)
+    drift = np.max(np.abs(np.linalg.norm(lam, axis=1) - math.sqrt(3)))
+    assert drift <= 16 * np.finfo(float).eps
+
+
+@given(
+    st.sampled_from(["su2", "so3"]),
+    units,
+    units,
+    st.floats(1e-3, 0.05),
+    st.floats(0.5, 2.0),
+)
+def test_rk4_stays_on_the_coadjoint_orbit(name, a, lam, ds, s_end):
+    # M is skew with eigenvalues 0 and +-i omega. On each rotating mode rk4
+    # multiplies by R(i y), y = h omega, with |R(i y)|^2 = 1 - y^6/72 + y^8/576,
+    # so each step moves the norm by at most y^6/72 (y <= 0.05 here), and
+    # |e^(i y) - R(i y)| <= y^5/120 bounds each step's error against the exact
+    # flow, which |R| <= 1 does not amplify. Rounding is allowed eps a step.
+    g, a, lam0 = la.preset(name), la.LieVector(a), la.DualVector(lam)
+    A = ca.ConnectionSampler.constant(a)
+    _, _, out = ca.integrate(g, lam0, A, (1.0,), ds, s_end, "rk4")
+    n = len(out) - 1
+    y = ds * np.linalg.norm(ca.rhs_generator(g, a), 2)
+    eps = np.finfo(float).eps
+    drift = np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0))
+    assert drift <= n * (y**6 / 72 + eps)
+    exact = ca.coadjoint_flow_exact(g, a, lam0, s_end).coeffs
+    assert np.max(np.abs(out[-1] - exact)) <= n * (y**5 / 120 + eps)
+
+
 @pytest.mark.parametrize("scheme", ["euler_paper", "rk4"])
 def test_integrate_step_and_sample_counts(monkeypatch, su2, scheme):
-    # The benchmark tracer counts cartan.step calls as steps.
-    steps, calls = [], []
-    real_step = ca.step
+    # integrate builds the step generators CHUNK steps at a time and samples
+    # the connection once per direction over the whole path.
+    chunks, calls = [], []
+    real_generators = ca._generators
 
-    def counting_step(*args):
-        steps.append(args[1])
-        return real_step(*args)
+    def counting_generators(h, *args):
+        chunks.append(len(h))
+        return real_generators(h, *args)
 
     def sample(x, mu):
         calls.append(x.copy())
         return np.array(E3.coeffs)
 
-    monkeypatch.setattr(ca, "step", counting_step)
+    monkeypatch.setattr(ca, "_generators", counting_generators)
     v = (1.0, 0.5)
-    s, x, _ = ca.integrate(su2, LAM0, ca.ConnectionSampler(3, sample), v, 0.01, 0.505, scheme)
-    assert len(steps) == len(s) - 1
+    s, x, _ = ca.integrate(su2, LAM0, ca.ConnectionSampler(3, sample), v, 0.001, 0.5005, scheme)
+    assert chunks == [ca.CHUNK, len(s) - 1 - ca.CHUNK]
     # one call per direction at the states, and one more at the midpoints for rk4
     assert len(calls) == len(v) * (1 + (scheme == "rk4"))
     for points in calls[: len(v)]:

@@ -149,6 +149,24 @@ class TestLie:
         assert err.startswith("config error:")
         assert message in err
 
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_cohomology_of_a_bracket_breaking_jacobi_is_config_error(self, capsys, tmp_path, p):
+        # su2 with [e1, e2] = e1 + e3: d^2 != 0, and p = 1 used to print 0,-2,-2,0
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps({
+            "dim": 3, "labels": ["e1", "e2", "e3"],
+            "constants": [[0, 1, 2, 1, 1], [1, 2, 0, 1, 1], [2, 0, 1, 1, 1], [0, 1, 0, 1, 1]],
+        }))
+        argv = ["lie", "cohomology", "--algebra", str(path), "--p", str(p)]
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("config error: the bracket of ")
+        assert "breaks the Jacobi identity (jacobi residual 1)" in err
+        assert f"spencerflow lie verify --algebra {path}" in err
+        rc, out, _ = run_cli(capsys, ["lie", "verify", "--algebra", str(path)])
+        assert rc == 0 and "jacobi residual: 1" in out
+
     def test_conflicting_mirror_constants_are_config_error(self, capsys, tmp_path):
         # [x, y] = x and [y, x] = x: the second entry used to overwrite the first
         path = tmp_path / "algebra.json"
