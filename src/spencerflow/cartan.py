@@ -98,11 +98,6 @@ SCHEMES = ("euler_paper", "rk4")
 CHUNK = 256  # steps whose generators integrate builds at once
 
 
-def _check_scheme(scheme):
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def _mul(X, Y):
     """X @ Y for matrices stored as (d, d) or (d, d, n) arrays, the step axis
     last: the sum over j runs as whole-array passes over contiguous steps,
@@ -150,22 +145,6 @@ def _advance(lam, h, G, renormalize):
         cur = nxt
 
 
-def step(lam, h, M0, M_mid=None, M_end=None, scheme="euler_paper", renormalize=False):
-    """One characteristic step of size h from lam, given the generators M at
-    the step's start, midpoint and end (the last two only for rk4).
-
-    euler_paper is the explicit first-order update
-    lambda_a(s+h) = lambda_a(s) - h * C^c_{ba} (A.v)^b lambda_c(s);
-    rk4 is the classical 4-stage scheme on the same right-hand side.
-    renormalize rescales lambda back to its norm at step entry.
-    """
-    _check_scheme(scheme)
-    out = np.empty((2, len(lam)))
-    out[0] = lam
-    _advance(out, (h,), _generators(h, M0, M_mid, M_end, scheme)[None], renormalize)
-    return out[1]
-
-
 def _expm(M):
     """Scaling-and-squaring Taylor exponential, adequate for dim <= 4."""
     norm = np.linalg.norm(M, ord=np.inf)
@@ -202,7 +181,8 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
     its generator G (see _generators), built for CHUNK steps at a time.
     Overflow is not reported by numpy here: a base point or a lambda that
     leaves float64 raises the gate instead."""
-    _check_scheme(scheme)
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     C = _structure_tensor(g)
     n_full = int(s_end / ds)
     rem = s_end - n_full * ds
@@ -220,7 +200,8 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
         n = bad[0]
         raise CFLViolation(
             f"step size {h[n]} >= stability bound {bound[n]} "
-            "(ds * max|C^c_ba (A.v)^b| must stay below 1)"
+            "(ds * max|C^c_ba (A.v)^b| must stay below 1); "
+            "rerun with --auto-ds or a smaller ds"
         )
     M = rhs_generator(C, Av)
     M_mid = M[:-1]  # unused by euler_paper
@@ -261,7 +242,7 @@ def residual_profile(g, A, v, s, x, lam):
     return resid
 
 
-def cartan_residual(g, A, lam_samples, h, v=(1.0,)):
+def cartan_residual(g, A, lam_samples, h):
     """Max-norm central-difference estimate of ||dlambda + ad*_omega lambda||
     on a 1-D grid of samples spaced h along the characteristic direction."""
     if h <= 0:
@@ -272,7 +253,7 @@ def cartan_residual(g, A, lam_samples, h, v=(1.0,)):
     if not np.isfinite(lam).all():
         raise ValueError("non-finite state")
     s = np.arange(len(lam)) * h
-    return float(np.max(residual_profile(g, A, v, s, np.multiply.outer(s, v), lam)))
+    return float(np.max(residual_profile(g, A, (1.0,), s, s[:, None], lam)))
 
 
 def monopole_radial_check(q, r, h):

@@ -159,10 +159,11 @@ def simulate(doc, snapshot_cb=None):
     Returns (records, curves_final). snapshot_cb(step, t, zeta, curves), when
     given, is invoked at every recorded snapshot. Each vorticity state gets
     one rfft2 and one stage evaluation, with the markers stacked into one
-    point array: they feed the state's record, the auto dt and its CFL gate,
-    and k1 of the RK4 step that moves the vorticity and the markers together.
-    A state that leaves float64 is a config error at t=0 (finite config
-    values can still overflow it) and the numerical gate after that.
+    point array: they feed the state's record, its one CFL bound (read by the
+    auto dt and by rk4_step's gate), and k1 of the RK4 step that moves the
+    vorticity and the markers together. A state that leaves float64 is a
+    config error at t=0 (finite config values can still overflow it) and the
+    numerical gate after that.
     """
     grid, vortices, curves, dt_conf, t_end, output_every = load_euler_config(doc)
     ends = np.cumsum([len(c.points) for c in curves])[:-1]
@@ -185,10 +186,8 @@ def simulate(doc, snapshot_cb=None):
                     snapshot_cb(step, t, zeta, curves)
             if done:
                 return records, curves
-            dt = first[2].cfl_dt() if dt_conf == "auto" else dt_conf
-            if not math.isfinite(dt):
-                dt = t_end - t
-            dt = min(dt, t_end - t)
+            first += (first[2].cfl_dt(),)
+            dt = min(first[-1] if dt_conf == "auto" else dt_conf, t_end - t)
             t += dt
             step += 1
             zeta, points = euler2d.rk4_step(zeta, dt, points, first)
@@ -326,18 +325,8 @@ def cmd_cartan(args):
     g, A, lam0, v, ds, s_end, scheme, renorm = load_cartan_config(doc)
 
     Av0 = A.contract(np.zeros((1, len(v))), v)[0]
-    bound = cartan.cfl_bound(g, Av0)
-    if ds >= bound:
-        if args.auto_ds:
-            ds = bound / 2.0
-        else:
-            print(
-                f"CFL gate: ds={ds} violates the stability bound "
-                f"ds * max|C^c_ba (A.v)^b| < 1 (bound {bound}); "
-                "rerun with --auto-ds or a smaller ds",
-                file=sys.stderr,
-            )
-            return EXIT_GATE
+    if args.auto_ds and ds >= (bound := cartan.cfl_bound(g, Av0)):
+        ds = bound / 2.0
 
     s, x, lam = cartan.integrate(g, lam0, A, v, ds, s_end, scheme, renorm)
     norms = np.linalg.norm(lam, axis=1)

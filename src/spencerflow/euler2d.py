@@ -114,8 +114,11 @@ class VelocityField:
         return float(np.max(np.hypot(self.u_x[near], self.u_y[near])))
 
     def cfl_dt(self):
-        """Advective step bound dt <= 0.5 * dx / max|u|; +inf for a still field."""
+        """Advective step bound dt <= 0.5 * dx / max|u|; +inf for a still field.
+        Raises NonFinite when max|u| is not finite, which no dt can pass."""
         vmax = self.max_speed()
+        if not math.isfinite(vmax):
+            raise NonFinite("non-finite velocity")
         return math.inf if vmax == 0.0 else 0.5 * self.grid.dx / vmax
 
 
@@ -335,15 +338,19 @@ NO_POINTS.flags.writeable = False
 def rk4_step(zeta, dt, points=NO_POINTS, first=None):
     """Classical 4-stage step of the vorticity transport equation and of the
     (P, 2) marker points it carries, both through the same stage velocities.
-    first is (zhat, *stage(grid, zhat, points)) for zhat = zeta.spectrum()
-    when the caller has it. Raises CFLViolation when dt exceeds the advective
-    bound of zeta; returns (zeta, points), the points wrapped into the domain."""
+    first is (zhat, *stage(grid, zhat, points), u.cfl_dt()) for
+    zhat = zeta.spectrum() and the stage's velocity u, when the caller has it.
+    Raises CFLViolation when dt exceeds that advective bound of zeta; returns
+    (zeta, points), the points wrapped into the domain."""
     if dt == 0.0:
         return zeta, points
     g = zeta.grid
-    zhat = zeta.spectrum() if first is None else first[0]
-    k1, u, p1 = stage(g, zhat, points) if first is None else first[1:]
-    if dt > (bound := u.cfl_dt()):
+    if first is None:
+        zhat = zeta.spectrum()
+        first = (zhat, *stage(g, zhat, points))
+        first += (first[2].cfl_dt(),)
+    zhat, k1, _, p1, bound = first
+    if dt > bound:
         raise CFLViolation(f"dt={dt} exceeds the advective bound {bound}")
     k2, _, p2 = stage(g, zhat + dt / 2 * k1, points + dt / 2 * p1)
     k3, _, p3 = stage(g, zhat + dt / 2 * k2, points + dt / 2 * p2)

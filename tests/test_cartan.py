@@ -116,20 +116,15 @@ class TestStep:
         assert np.allclose(lam, expect, atol=1e-15)
 
     def test_linearity_of_euler_step(self, su2):
-        M = ca.rhs_generator(su2, E3)
+        A = ca.ConnectionSampler.constant(E3)
         rng = np.random.default_rng(4)
         for _ in range(10):
             l1 = rng.standard_normal(3)
             l2 = rng.standard_normal(3)
-            s1 = ca.step(l1, 0.05, M)
-            s2 = ca.step(l2, 0.05, M)
-            s12 = ca.step(l1 + l2, 0.05, M)
+            _, s1 = one_step(su2, l1, 0.05, A)
+            _, s2 = one_step(su2, l2, 0.05, A)
+            _, s12 = one_step(su2, l1 + l2, 0.05, A)
             assert np.allclose(s12, s1 + s2, atol=1e-12)
-
-    def test_unknown_scheme_rejected(self, su2):
-        M = ca.rhs_generator(su2, E3)
-        with pytest.raises(ValueError):
-            ca.step(np.ones(3), 0.1, M, M, M, scheme="rk2")
 
     def test_rk4_quarter_turn(self, su2):
         A = ca.ConnectionSampler.constant(E3)
@@ -453,17 +448,6 @@ def test_chunk_boundaries_keep_the_bits(su2, scheme):
     assert len(got[0]) == 2 * ca.CHUNK + 9
     for got_arr, want_arr in zip(got, want):
         assert np.array_equal(got_arr, want_arr)
-
-
-@pytest.mark.parametrize("scheme", ["euler_paper", "rk4"])
-@pytest.mark.parametrize("renorm", [False, True])
-def test_step_is_one_step_of_integrate(su2, scheme, renorm):
-    A = ca.ConnectionSampler.constant(la.LieVector(unit((0.3, -0.5, 0.8))))
-    lam0 = la.DualVector(unit((1.0, 2.0, -0.5)))
-    _, x, lam = ca.integrate(su2, lam0, A, (1.0,), 0.1, 0.1, scheme, renorm)
-    M = ca.rhs_generator(su2, A.contract(np.array([[0.0], [0.05], [0.1]]), (1.0,)))
-    out = ca.step(lam[0], 0.1, M[0], M[1], M[2], scheme, renorm)
-    assert np.array_equal(out, lam[1])
 
 
 def test_integrate_rejects_an_unknown_scheme_before_any_work(su2):

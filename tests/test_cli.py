@@ -229,7 +229,21 @@ class TestCartan:
         cfg = self.write_config(tmp_path / "c.json", ds=2.0, scheme="euler_paper")
         rc, _, err = run_cli(capsys, ["cartan", "--config", str(cfg)])
         assert rc == 2
-        assert "CFL gate" in err
+        assert err.startswith("numerical gate: step size 2.0 >= stability bound 1.0")
+        assert "--auto-ds" in err
+        # the rerun the message suggests: ds becomes half the bound
+        rc, out, err = run_cli(capsys, ["cartan", "--config", str(cfg), "--auto-ds"])
+        assert (rc, err) == (0, "")
+        assert out.startswith("final lambda: ")
+
+    def test_a_step_shortened_below_the_bound_passes(self, capsys, tmp_path):
+        # ds = 2.0 is above the bound 1.0, but s_end = 0.5 makes the one step
+        # taken 0.5, the same step that --auto-ds (ds = 0.5) takes
+        cfg = self.write_config(tmp_path / "c.json", ds=2.0, s_end=0.5)
+        rc, out, _ = run_cli(capsys, ["cartan", "--config", str(cfg)])
+        rc_auto, out_auto, _ = run_cli(capsys, ["cartan", "--config", str(cfg), "--auto-ds"])
+        assert rc == rc_auto == 0
+        assert out == out_auto
 
     def test_auto_ds_recovers(self, capsys, tmp_path):
         cfg = self.write_config(
@@ -720,6 +734,23 @@ class TestSimulateSharesOneVelocityPerState:
         steps = len(records) - 1
         assert steps >= 3
         assert calls == {"rk4_step": steps, "stage": 4 * steps + 1, "velocity_from_vorticity": 0}
+
+    @pytest.mark.parametrize("dt", ["auto", 0.05])
+    def test_one_cfl_bound_per_step(self, monkeypatch, dt):
+        # simulate's auto dt and rk4_step's gate read the one bound of each
+        # state that takes a step; the last state takes none
+        calls = []
+        max_speed = eu.VelocityField.max_speed
+
+        def counted(u):
+            calls.append(u)
+            return max_speed(u)
+
+        monkeypatch.setattr(eu.VelocityField, "max_speed", counted)
+        records, _ = cli.simulate(dict(SHARING_DOC, dt=dt, output_every=1))
+        steps = len(records) - 1
+        assert steps >= 3
+        assert len(calls) == steps
 
     @pytest.mark.parametrize("output_every", [1, 3])
     def test_records_and_markers_are_bit_identical(self, output_every):

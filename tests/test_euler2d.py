@@ -184,6 +184,22 @@ class TestTimeStepping:
         with pytest.raises(eu.CFLViolation):
             eu.rk4_step(zeta, 10.0)
 
+    def test_non_finite_velocity_stops_the_step_after_its_first_stage(self, monkeypatch):
+        # 1e307 cos x overflows the rfft2 sum, so its velocity is not finite:
+        # the bound raises instead of reading nan, which every dt would pass
+        stages = []
+        real_stage = eu.stage
+
+        def counted(*args):
+            stages.append(args)
+            return real_stage(*args)
+
+        monkeypatch.setattr(eu, "stage", counted)
+        zeta = single_mode(eu.GridSpec(16), 1, 0, amp=1e307)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(eu.NonFinite):
+            eu.rk4_step(zeta, 1e-3)
+        assert len(stages) == 1
+
     def test_one_cfl_exception(self):
         assert eu.CFLViolation is ca.CFLViolation
 

@@ -45,6 +45,23 @@ def test_rk4_step_conserves_total_vorticity(N, seed, amp):
     assert abs(inv.total_vorticity(after) - inv.total_vorticity(zeta)) <= 1e-14 * scale
 
 
+@given(st.sampled_from([16, 32, 64, 128]), seeds, amplitudes)
+def test_stage_tendency_keeps_enstrophy_and_energy(N, seed, amp):
+    """The 2/3-rule product is alias-free, so for a band-limited zeta the
+    tendency T is orthogonal to zeta (enstrophy) and to psi (energy) in exact
+    arithmetic. In float64 each cosine is a rounding residue: over 3600 white-
+    noise fields at N = 16-128 both stayed below 0.5 eps. With u_x and u_y
+    swapped in the product, or one of its two terms negated, the smallest
+    cosine over 200 such fields was 6e-6."""
+    zeta = band_limited(N, seed, amp)
+    zhat = zeta.spectrum()
+    T = np.fft.irfft2(eu.stage(zeta.grid, zhat, eu.NO_POINTS)[0])
+    psi = np.fft.irfft2(zhat * eu._spectral_ops(zeta.grid)[2])
+    for f in (zeta.values, psi):
+        cosine = abs(np.sum(f * T)) / (np.linalg.norm(f) * np.linalg.norm(T))
+        assert cosine <= 4 * np.finfo(float).eps
+
+
 @given(sizes, seeds, st.sampled_from([0.0, 1e-310, 1e-160, 1.0, 1e150, 1e300]), st.integers(0, 64))
 def test_max_speed_has_the_bits_of_the_hypot_max(N, seed, scale, ties):
     """Against the plain max(hypot(u_x, u_y)), with `ties` points moved onto the
