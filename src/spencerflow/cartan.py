@@ -7,6 +7,7 @@ All numeric state on this path is float64.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,11 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     C = _structure_tensor(g)
+    if not s_end / ds < sys.maxsize:  # the step list below could not be indexed
+        raise CFLViolation(
+            f"step size {ds} needs {s_end / ds:g} steps to s_end={s_end}, "
+            "more than an index can count"
+        )
     n_full = int(s_end / ds)
     rem = s_end - n_full * ds
     h = [ds] * n_full + ([rem] if rem > 1e-15 * max(1.0, abs(s_end)) else [])

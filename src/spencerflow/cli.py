@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 config error, 2 numerical gate violation (CFL),
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -152,7 +153,7 @@ def load_euler_config(doc):
     return grid, vortices, curves, dt, t_end, output_every
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise instead
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # non-finite values raise instead
 def simulate(doc, snapshot_cb=None):
     """Run a vorticity-transport simulation from a config document.
 
@@ -311,6 +312,10 @@ def load_cartan_config(doc):
     s_end = _finite(doc["s_end"], "s_end")
     if s_end < 0:
         raise ConfigError(f"s_end must be non-negative, not {s_end!r}")
+    if not s_end / ds < sys.maxsize:
+        raise ConfigError(
+            f"ds={ds} and s_end={s_end} need {s_end / ds:g} steps, more than an index can count"
+        )
     scheme = doc.get("scheme", "euler_paper")
     if scheme not in cartan.SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -408,21 +413,11 @@ def cmd_lie(args):
     if args.subcommand == "verify":
         resid = liealg.jacobi_residual(g)
         lines = [f"algebra: {args.algebra} (dim {g.dim})", "bracket table:"]
-        table = {}
-        for a in range(g.dim):
-            for b in range(a + 1, g.dim):
-                out = liealg.bracket(
-                    g, liealg.basis_vector(g, a), liealg.basis_vector(g, b)
-                )
-                pretty = " + ".join(
-                    f"{c}*{g.basis_labels[i]}"
-                    for i, c in enumerate(out.coeffs)
-                    if c != 0
-                ) or "0"
-                lines.append(f"  [{g.basis_labels[a]}, {g.basis_labels[b]}] = {pretty}")
-                table[f"[{g.basis_labels[a]},{g.basis_labels[b]}]"] = [
-                    str(c) for c in out.coeffs
-                ]
+        table, labels = {}, g.basis_labels
+        for a, b in itertools.combinations(range(g.dim), 2):
+            pretty = " + ".join(f"{v}*{labels[c]}" for c, v in g.ad[a][b]) or "0"
+            lines.append(f"  [{labels[a]}, {labels[b]}] = {pretty}")
+            table[f"[{labels[a]},{labels[b]}]"] = list(map(str, g.structure_constants[a][b]))
         lines.append(f"jacobi residual: {resid}")
         payload = {
             "algebra": args.algebra,
@@ -455,11 +450,9 @@ def cmd_lie(args):
             base = [int(x) for x in args.base.split(",")]
         except ValueError:
             raise ConfigError(f"base must be comma-separated integers, not {args.base!r}") from None
-        if args.factor == "sym":
-            factor = spencer.sym_dimension_factor(g, max_p=len(base))
-        else:
-            factor = spencer.whitehead_factor(g, max_p=len(base))
-        betti = spencer.spencer_betti(base, factor)
+        factor = {"sym": spencer.sym_dimension_factor, "whitehead": spencer.whitehead_factor}
+        # spencer_betti reads f[0 .. len(base) - 1]
+        betti = spencer.spencer_betti(base, factor[args.factor](g, max_p=len(base) - 1))
         payload = {
             "algebra": args.algebra,
             "base": base,

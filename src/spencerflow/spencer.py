@@ -49,14 +49,6 @@ class SymTensor:
             self.dim, self.degree, {i: scalar * c for i, c in self.terms.items()}
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymTensor)
-            and self.dim == other.dim
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
     def max_norm(self):
         return max((abs(c) for c in self.terms.values()), default=Fraction(0))
 
@@ -234,8 +226,8 @@ def ce_cohomology_dim(g, p, q):
 
 
 def invariant_subspace_dim(g, p):
-    """dim (Sym^p g)^g via the stacked module-action nullspace (independent of
-    the CE differential path)."""
+    """dim (Sym^p g)^g: the nullity D - rank of the module actions of every
+    e_a stacked, one D-row block per a (independent of the CE differential path)."""
     basis = sym_basis(g.dim, p)
     D = len(basis)
     rows = [{} for _ in range(g.dim * D)]
@@ -243,7 +235,7 @@ def invariant_subspace_dim(g, p):
         for m, col in enumerate(_module_action(ad_a, basis)):
             for r, v in col.items():
                 rows[a * D + r][m] = v
-    return len(_exact.nullspace(rows, n_cols=D))
+    return D - _exact.rank(rows)
 
 
 # --- Betti-number decomposition ---
@@ -259,7 +251,7 @@ def whitehead_factor(g, max_p=4):
     """f[p] = dim H^0(g, Sym^p g) = dim (Sym^p g)^g, the invariants of each
     symmetric power. Higher H^q need not vanish: Whitehead's lemmas give
     only H^1 = H^2 = 0 for semisimple g, and H^3(su2) = 1."""
-    return tuple(ce_cohomology_dim(g, p, 0) for p in range(max_p + 1))
+    return tuple(invariant_subspace_dim(g, p) for p in range(max_p + 1))
 
 
 def spencer_betti(base_betti, factor):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from spencerflow import cartan, cli
 from spencerflow import euler2d as eu
 from spencerflow import invariants as inv
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
+DATA = Path(__file__).parent / "data"
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
@@ -59,6 +60,34 @@ class TestLie:
         assert rc == 0
         assert out.strip() == "1,2,4"
 
+    def test_cohomology_out_writes_the_json_payload(self, capsys, tmp_path):
+        argv = ["lie", "cohomology", "--algebra", "su2", "--p", "2"]
+        rc, out, _ = run_cli(capsys, ["--json", *argv])
+        assert rc == 0
+        rc, _, _ = run_cli(capsys, ["--out", str(tmp_path), *argv])
+        assert rc == 0
+        written = json.loads((tmp_path / "lie_report.json").read_text())
+        assert written == json.loads(out)
+        assert written["dims"] == [1, 0, 0, 1]
+
+    def test_betti_torus_su2_whitehead(self, capsys):
+        # f = dim (Sym^p su2)^su2 = 1, 0, 1: the Killing form is the one quadratic invariant
+        rc, out, _ = run_cli(
+            capsys, ["lie", "betti", "--algebra", "su2", "--base", "1,2,1", "--factor", "whitehead"]
+        )
+        assert rc == 0
+        assert out == "1,2,2\n"
+
+    def test_delta_curvature_su2(self, capsys):
+        # Omega = e3 acts on e1 by [e3, e1] = e2
+        rc, out, _ = run_cli(
+            capsys,
+            ["--json", "lie", "delta", "--algebra", "su2", "--kind", "curvature",
+             "--omega", "0,0,1", "--tensor", "[[[0], 1, 1]]"],
+        )
+        assert rc == 0
+        assert json.loads(out)["terms"] == {"1": "1"}
+
     def test_delta_structural_sl2(self, capsys):
         rc, out, _ = run_cli(
             capsys,
@@ -81,9 +110,10 @@ class TestLie:
             (["--tensor", "[[[0], 1, 1], [[0, 1], 1, 1]]"], "--tensor"),
             (["--tensor", "[[[0], 1, 1]]", "--kind", "curvature", "--omega", "1,2"], "--omega"),
             (["--tensor", "[[[0], 1, 1]]", "--kind", "curvature", "--omega", "1,x,2"], "--omega"),
+            (["--tensor", "[[[0], 1, 1]]", "--kind", "curvature"], "needs --omega"),
         ],
         ids=["scalar", "empty", "index-past-dim", "zero-denominator", "float-numerator",
-             "not-json", "mixed-degree", "short-omega", "bad-omega"],
+             "not-json", "mixed-degree", "short-omega", "bad-omega", "no-omega"],
     )
     def test_bad_delta_input_is_config_error(self, capsys, extra, field):
         rc, out, err = run_cli(capsys, ["lie", "delta", "--algebra", "su2", *extra])
@@ -300,6 +330,29 @@ class TestCartan:
         assert rc == 1
         assert out == ""
         assert err.startswith("config error: renormalize must be true or false")
+
+    def test_step_count_past_an_index_is_config_error(self, capsys, tmp_path):
+        # ds = 1e-30 (a typo for 1e-3) asks for 1e30 steps
+        cfg = self.write_config(tmp_path / "c.json", ds=1e-30, s_end=1.0)
+        rc, out, err = run_cli(capsys, ["cartan", "--config", str(cfg)])
+        assert (rc, out) == (1, "")
+        assert err == (
+            "config error: ds=1e-30 and s_end=1.0 need 1e+30 steps, more than an index can count\n"
+        )
+
+    def test_auto_ds_step_count_past_an_index_is_gate_exit(self, capsys, tmp_path):
+        # |A.v| = 1e308 puts the bound near 1e-308, and half of it takes inf steps to s_end
+        cfg = self.write_config(
+            tmp_path / "c.json",
+            connection={"preset": "constant", "params": {"a": [0.0, 0.0, 1e308]}},
+            s_end=1.0,
+        )
+        rc, out, err = run_cli(capsys, ["cartan", "--config", str(cfg), "--auto-ds"])
+        assert (rc, out) == (2, "")
+        assert err == (
+            "numerical gate: step size 5e-309 needs inf steps to s_end=1.0, "
+            "more than an index can count\n"
+        )
 
     def test_overflow_is_gate_exit(self, capsys, tmp_path):
         # lambda grows as e^(2s) on sl2 and leaves float64 near s = 389
@@ -546,6 +599,18 @@ class TestModuleEntry:
         assert proc.stdout == ""
         assert proc.stderr == (
             "numerical gate: non-finite state after the step to s=389.10000000002\n"
+        )
+
+    def test_a_vortex_narrower_than_float64_prints_only_the_config_line(self, tmp_path):
+        # sigma**2 underflows to 0: numpy's divide warning must not reach stderr
+        vortex = {"x": 0.0, "y": 0.0, "alpha": 1.0, "sigma": 1e-300}
+        cfg = TestEuler.write_config(tmp_path / "e.json", vortices=[vortex])
+        proc = self.run_module("euler", "run", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "config error: the initial state of the config is not finite: "
+            "non-finite vorticity values\n"
         )
 
 
@@ -840,7 +905,7 @@ class TestReport:
         assert rep == {"I0": 0.0, "I2": 0.0, "I1_0": 0.0}
 
     def test_golden_report_bit_for_bit(self, capsys):
-        golden = open(os.path.join(DATA, "golden_report.txt")).read()
+        golden = (DATA / "golden_report.txt").read_text()
         rc, out, _ = run_cli(
             capsys,
             ["report", "--csv", os.path.join(DATA, "golden_invariants.csv")],
@@ -856,7 +921,7 @@ class TestReport:
              os.path.join(DATA, "golden_config.json")],
         )
         assert rc == 0
-        golden = open(os.path.join(DATA, "golden_invariants.csv"), "rb").read()
+        golden = (DATA / "golden_invariants.csv").read_bytes()
         assert (outdir / "invariants.csv").read_bytes() == golden
 
     def test_run_without_curves_reads_back(self, capsys, tmp_path):

@@ -62,6 +62,93 @@ def test_stage_tendency_keeps_enstrophy_and_energy(N, seed, amp):
         assert cosine <= 4 * np.finfo(float).eps
 
 
+EPS = np.finfo(float).eps
+
+
+def check_torus_symmetry(zeta, points, field_map, point_map, vector_map, tendency_eps, marker_eps):
+    """The stage commutes with a symmetry of the square torus: for the mapped
+    vorticity and marker points, the tendency is the mapped tendency (it
+    transforms like zeta) and the marker velocities are the mapped velocities
+    (vector_map, the linear part of point_map). Tendency errors are measured
+    against max|T|, marker-velocity errors against max|u| on the grid."""
+    grid = zeta.grid
+
+    def run(values, pts):
+        T, u, p = eu.stage(grid, np.fft.rfft2(values), pts)
+        umax = max(np.max(np.abs(u.u_x)), np.max(np.abs(u.u_y)))
+        return np.fft.irfft2(T, s=(grid.N, grid.N)), p, umax
+
+    T, p, umax = run(zeta.values, points)
+    T_mapped, p_mapped, _ = run(field_map(zeta.values), point_map(points))
+    assert np.max(np.abs(T_mapped - field_map(T))) <= tendency_eps * EPS * np.max(np.abs(T))
+    assert np.max(np.abs(p_mapped - vector_map(p))) <= marker_eps * EPS * umax
+
+
+torus_sizes = st.sampled_from([16, 32, 64, 128])
+marker_counts = st.integers(1, 2 * eu.BLOCK + 1)
+
+
+def marker_points(grid, seed, P):
+    return np.random.default_rng(seed + 1).uniform(0.0, grid.L, (P, 2))
+
+
+def swap_xy(v):
+    return v[:, ::-1]
+
+
+def mirror_x(v):
+    return v * np.array([-1.0, 1.0])
+
+
+# Bounds of the three torus properties, in eps. Over 5000 white-noise draws of
+# each at N = 16-128 (1-129 markers, amplitudes 1e-3-1e3) the worst tendency
+# error was 7.3 eps of max|T| (the bound is 12 for all three). The marker sums
+# build exp(i m x) from the rounded coordinates, so their error grows with N:
+# the worst was 5.5 eps of max|u| for the diagonal reflection (coordinates only
+# swap; bound 10), 44 eps for the mirror (bound 80) and 83 eps for the shift
+# (bound 160), both at N = 128. With kx and ky swapped in _velocity_spectrum
+# (u = (d psi/dx, -d psi/dy)) the mirror property fails for every draw; the
+# diagonal reflection maps that wrong formula to itself, and the shift holds
+# for any translation-invariant stage, so those two catch other faults.
+
+
+@given(torus_sizes, seeds, amplitudes, marker_counts, st.integers(0, 127), st.integers(0, 127))
+def test_stage_commutes_with_a_shift_by_whole_cells(N, seed, amp, P, sx, sy):
+    """zeta shifted by (sx, sy) cells, the markers by (sx, sy) dx: their velocities stay."""
+    zeta = band_limited(N, seed, amp)
+    sx, sy = sx % N, sy % N
+    check_torus_symmetry(
+        zeta, marker_points(zeta.grid, seed, P),
+        lambda f: np.roll(f, (sx, sy), axis=(0, 1)),
+        lambda pts: pts + zeta.grid.dx * np.array([sx, sy]),
+        lambda v: v,
+        tendency_eps=12, marker_eps=160,
+    )
+
+
+@given(torus_sizes, seeds, amplitudes, marker_counts)
+def test_stage_commutes_with_the_diagonal_reflection(N, seed, amp, P):
+    """zeta(x, y) -> -zeta(y, x): a reflection flips the sign of the vorticity
+    and swaps the components of every point and velocity."""
+    zeta = band_limited(N, seed, amp)
+    check_torus_symmetry(
+        zeta, marker_points(zeta.grid, seed, P), lambda f: -f.T, swap_xy, swap_xy,
+        tendency_eps=12, marker_eps=10,
+    )
+
+
+@given(torus_sizes, seeds, amplitudes, marker_counts)
+def test_stage_commutes_with_the_mirror_in_x(N, seed, amp, P):
+    """zeta(x, y) -> -zeta(-x, y), with the points and velocities mirrored:
+    grid index i goes to -i mod N."""
+    zeta = band_limited(N, seed, amp)
+    check_torus_symmetry(
+        zeta, marker_points(zeta.grid, seed, P),
+        lambda f: -np.roll(f[::-1], 1, axis=0), mirror_x, mirror_x,
+        tendency_eps=12, marker_eps=80,
+    )
+
+
 @given(sizes, seeds, st.sampled_from([0.0, 1e-310, 1e-160, 1.0, 1e150, 1e300]), st.integers(0, 64))
 def test_max_speed_has_the_bits_of_the_hypot_max(N, seed, scale, ties):
     """Against the plain max(hypot(u_x, u_y)), with `ties` points moved onto the

@@ -158,7 +158,12 @@ class TestCECohomology:
         assert [sp.ce_cohomology_dim(su2, p, 0) for p in range(3)] == [1, 0, 1]
 
     def test_q0_matches_independent_invariant_solver(self, su2, sl2, ab2):
-        for g in (su2, sl2, ab2):
+        # also off the semisimple path: e(3), and su2 with [e1, e2] = e1 + e3,
+        # which breaks Jacobi
+        broken = la.make_algebra(
+            3, ["e1", "e2", "e3"], [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (0, 1, 0, 1)]
+        )
+        for g in (su2, sl2, ab2, e3(), broken):
             for p in range(3):
                 assert sp.ce_cohomology_dim(g, p, 0) == sp.invariant_subspace_dim(g, p)
 
@@ -262,10 +267,11 @@ class TestCEDifferential:
         assert ranked == [6] + full
 
     def test_factored_path_ranks_only_the_trivial_complex(self, so4, monkeypatch):
-        # so(4) is semisimple: the Killing form, then d_0 .. d_5 of Lambda^q alone
+        # so(4) is semisimple: the Killing form, the 6 module actions on Sym^2
+        # stacked (their nullity is dim (Sym^2 g)^g), then d_0 .. d_5 of Lambda^q alone
         ranked = ranks_taken(monkeypatch)
         assert sp.ce_cohomology_dims(so4, 2, 6) == [2, 0, 0, 4, 0, 0, 2]
-        assert ranked == [6] + [comb(6, q) for q in range(6)]
+        assert ranked == [6, 6 * 21] + [comb(6, q) for q in range(6)]
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_sl3_factored_against_full(self, p):
