@@ -146,6 +146,18 @@ def _advance(lam, h, G, renormalize):
         cur = nxt
 
 
+def _gate(h, bound):
+    """Raise the CFL gate at the first step h[n] >= bound[n]."""
+    bad = np.flatnonzero(np.array(h) >= bound)
+    if bad.size:
+        n = bad[0]
+        raise CFLViolation(
+            f"step size {h[n]} >= stability bound {bound[n]} "
+            "(ds * max|C^c_ba (A.v)^b| must stay below 1); "
+            "rerun with --auto-ds or a smaller ds"
+        )
+
+
 def _expm(M):
     """Scaling-and-squaring Taylor exponential, adequate for dim <= 4."""
     norm = np.linalg.norm(M, ord=np.inf)
@@ -177,7 +189,8 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
 
     The base-point path x_n = x_0 + sum h_i v does not depend on lambda, so
     A.v is contracted at every state (and, for rk4, every midpoint) and the
-    CFL gate is checked on every step before the lambda recursion starts.
+    CFL gate is checked on every step before the lambda recursion starts;
+    the first step is checked at the origin before the path is built.
     The recursion is linear, so each step is one matrix-vector product with
     its generator G (see _generators), built for CHUNK steps at a time.
     Overflow is not reported by numpy here: a base point or a lambda that
@@ -192,7 +205,10 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
         )
     n_full = int(s_end / ds)
     rem = s_end - n_full * ds
-    h = [ds] * n_full + ([rem] if rem > 1e-15 * max(1.0, abs(s_end)) else [])
+    tail = [rem] if rem > 1e-15 * max(1.0, abs(s_end)) else []
+    first = [ds] if n_full else tail  # judged at the origin before the path is built
+    _gate(first, cfl_bound(C, A.contract(np.zeros((1, len(v))), v)))
+    h = [ds] * n_full + tail
     s = np.cumsum([0.0] + h)
     x = np.cumsum(np.concatenate([np.zeros((1, len(v))), np.multiply.outer(h, v)]), axis=0)
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
@@ -200,15 +216,7 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
         raise CFLViolation(f"the base point leaves float64 at s={s[bad[0]]}")
 
     Av = A.contract(x, v)
-    bound = cfl_bound(C, Av[:-1])
-    bad = np.flatnonzero(np.array(h) >= bound)
-    if bad.size:
-        n = bad[0]
-        raise CFLViolation(
-            f"step size {h[n]} >= stability bound {bound[n]} "
-            "(ds * max|C^c_ba (A.v)^b| must stay below 1); "
-            "rerun with --auto-ds or a smaller ds"
-        )
+    _gate(h, cfl_bound(C, Av[:-1]))
     M = rhs_generator(C, Av)
     M_mid = M[:-1]  # unused by euler_paper
     if scheme == "rk4":
@@ -240,7 +248,7 @@ def residual_profile(g, A, v, s, x, lam):
     tol = 1e-12 * np.maximum(h, hm) + 2 * np.spacing(np.abs(s[2:]))
     uneven = (h <= 0) | (np.abs(h - hm) > tol)
     M = rhs_generator(g, A.contract(x[1:-1], v))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         dlam = (lam[2:] - lam[:-2]) / (2 * h[:, None])
         inner = np.max(np.abs(dlam - (M @ lam[1:-1, :, None])[..., 0]), axis=1)
     resid = np.zeros(len(s))

@@ -503,7 +503,8 @@ def test_rk4_stays_on_the_coadjoint_orbit(name, a, lam, ds, s_end):
 @pytest.mark.parametrize("scheme", ["euler_paper", "rk4"])
 def test_integrate_step_and_sample_counts(monkeypatch, su2, scheme):
     # integrate builds the step generators CHUNK steps at a time and samples
-    # the connection once per direction over the whole path.
+    # the connection once per direction at the origin (the first step's gate),
+    # then once per direction over the whole path.
     chunks, calls = [], []
     real_generators = ca._generators
 
@@ -519,9 +520,28 @@ def test_integrate_step_and_sample_counts(monkeypatch, su2, scheme):
     v = (1.0, 0.5)
     s, x, _ = ca.integrate(su2, LAM0, ca.ConnectionSampler(3, sample), v, 0.001, 0.5005, scheme)
     assert chunks == [ca.CHUNK, len(s) - 1 - ca.CHUNK]
-    # one call per direction at the states, and one more at the midpoints for rk4
-    assert len(calls) == len(v) * (1 + (scheme == "rk4"))
+    # one call per direction at the origin and at the states, and one more
+    # at the midpoints for rk4
+    assert len(calls) == len(v) * (2 + (scheme == "rk4"))
     for points in calls[: len(v)]:
+        assert np.array_equal(points, np.zeros((1, len(v))))
+    for points in calls[len(v) : 2 * len(v)]:
         assert np.array_equal(points, x)
-    for points in calls[len(v):]:
+    for points in calls[2 * len(v) :]:
         assert np.allclose(points, (x[:-1] + x[1:]) / 2, rtol=0, atol=1e-15)
+
+
+def test_a_first_step_past_the_bound_is_gated_before_the_path_is_built(su2):
+    # ds = 2 against the bound 1 over 1e6 steps: the gate judges the first
+    # step at the origin, so the connection is sampled at one row, not at
+    # every state of a path that is never taken.
+    rows = []
+
+    def sample(x, mu):
+        rows.append(len(x))
+        return np.array(E3.coeffs)
+
+    A = ca.ConnectionSampler(3, sample)
+    with pytest.raises(ca.CFLViolation, match=r"^step size 2\.0 >= stability bound 1\.0 "):
+        ca.integrate(su2, LAM0, A, (1.0,), 2.0, 2e6, "rk4")
+    assert rows == [1]

@@ -442,6 +442,82 @@ def test_invalid_cartan_config_never_raises(tmp_path_factory, doc, extra):
 HUGE_VORTEX = {"x": 3.0, "y": 3.0, "alpha": 1e308, "sigma": 0.7}
 
 
+def _strict_json(text):
+    """text parsed as JSON, refusing NaN and Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestOutputContract:
+    """One result per run: artifacts are written first, then one strict JSON
+    line under --json; an error prints nothing on stdout."""
+
+    CARTAN = {"algebra": "su2", "connection": {"preset": "constant", "params": {"a": [0, 0, 1.0]}},
+              "lambda0": [1.0, 0.0, 0.0], "ds": 0.01, "s_end": 1.0}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lie", "verify", "--algebra", "su2"],
+            ["lie", "cohomology", "--algebra", "sl2", "--p", "1"],
+            ["lie", "betti", "--algebra", "su2", "--base", "1,2,1"],
+            ["lie", "delta", "--algebra", "sl2", "--tensor", "[[[0], 1, 1]]"],
+            ["lie", "delta", "--algebra", "su2", "--kind", "curvature",
+             "--tensor", "[[[0, 1], 1, 2]]", "--omega", "1,0,1/2"],
+            ["cartan", "--config", "{cartan}"],
+            ["euler", "run", "--config", "{euler}"],
+            ["euler", "gaussian", "--N", "16", "--t-end", "0.05"],
+            ["euler", "multivortex", "--N", "16", "--t-end", "0.02"],
+            ["report", "--csv", "{csv}"],
+        ],
+        ids=[
+            "lie-verify", "lie-cohomology", "lie-betti", "lie-delta-structural",
+            "lie-delta-curvature", "cartan", "euler-run", "euler-gaussian",
+            "euler-multivortex", "report",
+        ],
+    )
+    def test_json_is_one_strict_line(self, capsys, tmp_path, argv):
+        files = {"cartan": tmp_path / "c.json", "euler": tmp_path / "e.json",
+                 "csv": tmp_path / "inv.csv"}
+        files["cartan"].write_text(json.dumps(self.CARTAN))
+        TestEuler.write_config(files["euler"], vortices=[VORTEX])
+        files["csv"].write_text("t,I0,I2,div_max,circ_v0\n0,1,2,0,3\n1,1.5,2.5,1e-3,3\n")
+        argv = [a.format(**files) for a in argv]
+        rc, out, err = run_cli(capsys, ["--json", *argv])
+        assert (rc, err) == (0, "")
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert isinstance(_strict_json(out), dict)
+
+    def test_io_error_prints_nothing(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "out"  # under a regular file
+        rc, out, err = run_cli(capsys, ["--out", str(out_dir), "lie", "verify", "--algebra", "su2"])
+        assert (rc, out) == (3, "")
+        assert err.startswith("io error: ")
+
+    def test_lambda_whose_squared_norm_overflows(self, capsys, tmp_path):
+        # |lambda0| = 2**1023 * sqrt(2) is finite, its square is not. The run
+        # is 2**1023 times the run from (1, 1, 0), whose norm grows by
+        # sqrt(1 + h**2) a step under euler_paper. The last step is 0.005, and
+        # the residual's difference quotient across it overflows unreported.
+        runs = []
+        for scale in (1.0, 2.0**1023):
+            cfg = tmp_path / "c.json"
+            doc = dict(self.CARTAN, lambda0=[scale, scale, 0.0], s_end=1.005)
+            cfg.write_text(json.dumps(doc))
+            rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg)])
+            assert (rc, err) == (0, "")
+            runs.append(_strict_json(out))
+        small, big = runs
+        assert big["final_lambda"] == [2.0**1023 * x for x in small["final_lambda"]]
+        assert big["norm_drift"] == pytest.approx(2.0**1023 * small["norm_drift"], rel=1e-9)
+        growth = 1.0001**50 * math.sqrt(1 + 0.005**2)
+        assert small["norm_drift"] == pytest.approx(math.sqrt(2) * (growth - 1), rel=1e-9)
+
+
 class TestExitCodeBoundary:
     """Bad input is exit 1 where it is loaded; anything else is not a config error."""
 
@@ -497,8 +573,12 @@ class TestExitCodeBoundary:
             ({"vortices": [HUGE_VORTEX] * 2}, "non-finite vorticity values"),
             ({"vortices": [HUGE_VORTEX]}, "non-finite invariant record"),
             ({"curves": [{"cx": 1e308, "cy": 3.0, "radius": 1e308}]}, "non-finite evaluation point"),
+            # dx**2 in the first record and sigma**2 in the initial vorticity
+            # raise OverflowError, not a float64 overflow
+            ({"grid": {"N": 32, "L": 1e300}}, "Numerical result out of range"),
+            ({"vortices": [dict(HUGE_VORTEX, alpha=2.0, sigma=1e300)]}, "Numerical result out of range"),
         ],
-        ids=["vorticity", "record", "curve"],
+        ids=["vorticity", "record", "curve", "grid-L", "sigma"],
     )
     def test_finite_values_that_overflow_are_config_errors(
         self, capsys, tmp_path, overrides, message
@@ -845,7 +925,7 @@ BAD_EULER = {
     "grid": [
         "x", 0, None, [], {}, {"N": 32, "typo": 1},
         *({"N": n} for n in NOT_NUMBERS + [0, -32, 8, 48, 32.5, True]),
-        *({"N": 32, "L": L} for L in NOT_NUMBERS + [0, -1.0]),
+        *({"N": 32, "L": L} for L in NOT_NUMBERS + [0, -1.0, 1e300]),
     ],
     "t_end": NOT_NUMBERS + [0, -0.05],
     "dt": NOT_NUMBERS + ["Auto", 0, -0.01],
@@ -855,7 +935,7 @@ BAD_EULER = {
         "x", 0, None, {}, [0], ["x"], [None], [[]], [{"x": 3.0}], [dict(VORTEX, typo=1)],
         *([dict(VORTEX, **{key: bad})] for key in VORTEX for bad in NOT_NUMBERS),
         [dict(VORTEX, sigma=0)], [dict(VORTEX, sigma=-0.7)],
-        [dict(VORTEX, alpha=1e308)], [dict(VORTEX, alpha=1e308)] * 2,
+        [dict(VORTEX, alpha=1e308)], [dict(VORTEX, alpha=1e308)] * 2, [dict(VORTEX, sigma=1e300)],
     ],
     "curves": [
         "x", 0, None, {}, [0], [None], [[]], [{"cx": 3.0}], [dict(CURVE, typo=1)],
@@ -973,8 +1053,7 @@ def test_invariant_csv_round_trips(tmp_path_factory, records):
     assert back == records
     report = inv.conservation_report(records)
     assert inv.conservation_report(back) == report
-    printed, expected = io.StringIO(), io.StringIO()
+    printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         assert cli.main(["--json", "report", "--csv", str(path)]) == 0
-    cli.print_report(report, as_json=True, out=expected)
-    assert printed.getvalue() == expected.getvalue()
+    assert printed.getvalue() == json.dumps({k: "%.17g" % v for k, v in report.items()}) + "\n"
