@@ -100,36 +100,32 @@ CHUNK = 256  # steps whose generators integrate builds at once
 
 
 def _mul(X, Y):
-    """X @ Y for matrices stored as (d, d) or (d, d, n) arrays, the step axis
-    last: the sum over j runs as whole-array passes over contiguous steps,
-    in the order j = 0, 1, ..., and stays off BLAS gemm."""
+    """X @ Y for stacks of matrices stored (d, d, n), the step axis last: the
+    sum over j runs as whole-array passes over contiguous steps, in the order
+    j = 0, 1, ..., and stays off BLAS gemm."""
     return sum(X[:, j, None] * Y[None, j] for j in range(len(X)))
 
 
 def _generators(h, M0, M_mid, M_end, scheme):
-    """The step generators G with lambda(s+h) = lambda + h * (G @ lambda), from
-    the generators M at each step's start, midpoint and end, as (d, d) arrays
-    for one step or (d, d, n) arrays with h of shape (n,) for n steps.
+    """The generators G with lambda(s+h) = lambda + h * (G @ lambda) of n steps
+    of sizes h (n,), as an (n, d, d) stack, from the (n, d, d) stacks of the
+    generators M at each step's start, midpoint and end.
 
-    euler_paper is G = M0. rk4 is the classical 4-stage scheme written as a
-    matrix polynomial: its stages are k_i = A_i lambda with A_1 = M0,
-    A_2 = M_mid + (h/2 M_mid) A_1, A_3 = M_mid + (h/2 M_mid) A_2 and
-    A_4 = M_end + (h M_end) A_3, so G = (A_1 + 2 A_2 + 2 A_3 + A_4) / 6.
-    Each product takes h on its left factor, whose entries the CFL gate
-    keeps below 1, so G leaves float64 only where M does.
-    """
+    euler_paper is G = M0, returned as given. rk4 is the classical 4-stage
+    scheme written as a matrix polynomial: its stages are k_i = A_i lambda with
+    A_1 = M0, A_2 = M_mid + (h/2 M_mid) A_1, A_3 = M_mid + (h/2 M_mid) A_2 and
+    A_4 = M_end + (h M_end) A_3, so G = (A_1 + 2 A_2 + 2 A_3 + A_4) / 6, built
+    on steps-last copies for _mul. Each product takes h on its left factor,
+    whose entries the CFL gate keeps below 1, so G leaves float64 only where M
+    does."""
     if scheme == "euler_paper":
         return M0
+    M0, M_mid, M_end = (np.moveaxis(M, 0, -1).copy() for M in (M0, M_mid, M_end))
     half = h / 2 * M_mid
     A2 = M_mid + _mul(half, M0)
     A3 = M_mid + _mul(half, A2)
     A4 = M_end + _mul(h * M_end, A3)
-    return (M0 + 2 * A2 + 2 * A3 + A4) / 6
-
-
-def _steps_last(M):
-    """A contiguous copy of a stack of matrices (n, d, d) as (d, d, n)."""
-    return np.ascontiguousarray(np.moveaxis(M, 0, -1))
+    return np.moveaxis((M0 + 2 * A2 + 2 * A3 + A4) / 6, -1, 0).copy()
 
 
 def _advance(lam, h, G, renormalize):
@@ -148,11 +144,10 @@ def _advance(lam, h, G, renormalize):
 
 def _gate(h, bound):
     """Raise the CFL gate at the first step h[n] >= bound[n]."""
-    bad = np.flatnonzero(np.array(h) >= bound)
+    bad = np.flatnonzero(h >= bound)
     if bad.size:
-        n = bad[0]
         raise CFLViolation(
-            f"step size {h[n]} >= stability bound {bound[n]} "
+            f"step size {h[bad[0]]} >= stability bound {bound[bad[0]]} "
             "(ds * max|C^c_ba (A.v)^b| must stay below 1); "
             "rerun with --auto-ds or a smaller ds"
         )
@@ -163,8 +158,7 @@ def _expm(M):
     norm = np.linalg.norm(M, ord=np.inf)
     squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0 else 0
     A = M / (2**squarings)
-    out = np.eye(M.shape[0])
-    term = np.eye(M.shape[0])
+    out = term = np.eye(len(M))
     k = 1
     while np.linalg.norm(term, ord=np.inf) > 1e-14 and k < 60:
         term = term @ A / k
@@ -206,36 +200,37 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
     n_full = int(s_end / ds)
     rem = s_end - n_full * ds
     tail = [rem] if rem > 1e-15 * max(1.0, abs(s_end)) else []
-    first = [ds] if n_full else tail  # judged at the origin before the path is built
+    first = np.array([ds] if n_full else tail)  # judged at the origin before the path is built
     _gate(first, cfl_bound(C, A.contract(np.zeros((1, len(v))), v)))
-    h = [ds] * n_full + tail
-    s = np.cumsum([0.0] + h)
+    h = np.full(n_full + len(tail), ds)
+    h[n_full:] = tail
+    s = np.cumsum(np.concatenate([[0.0], h]))
     x = np.cumsum(np.concatenate([np.zeros((1, len(v))), np.multiply.outer(h, v)]), axis=0)
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
-        raise CFLViolation(f"the base point leaves float64 at s={s[bad[0]]}")
+    finite_gate(x, s, "the base point leaves float64 at s={s}")
 
     Av = A.contract(x, v)
     _gate(h, cfl_bound(C, Av[:-1]))
     M = rhs_generator(C, Av)
     M_mid = M[:-1]  # unused by euler_paper
     if scheme == "rk4":
-        mid = x[:-1] + np.multiply.outer(np.divide(h, 2), v)
-        M_mid = rhs_generator(C, A.contract(mid, v))
+        M_mid = rhs_generator(C, A.contract(x[:-1] + np.multiply.outer(h / 2, v), v))
 
     lam0 = _floats(lam0)
     lam = np.empty((len(s), len(lam0)))
     lam[0] = lam0
-    hs = np.array(h)
     for n in range(0, len(h), CHUNK):
         end = min(n + CHUNK, len(h))
-        stacks = (M[n:end], M_mid[n:end], M[n + 1 : end + 1])
-        G = _generators(hs[n:end], *map(_steps_last, stacks), scheme)
-        _advance(lam[n : end + 1], h[n:end], np.moveaxis(G, -1, 0).copy(), renormalize)
-    bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
-    if bad.size:
-        raise CFLViolation(f"non-finite state after the step to s={s[bad[0]]}")
+        G = _generators(h[n:end], M[n:end], M_mid[n:end], M[n + 1 : end + 1], scheme)
+        _advance(lam[n : end + 1], h[n:end].tolist(), G, renormalize)
+    finite_gate(lam, s, "non-finite state after the step to s={s}")
     return s, x, lam
+
+
+def finite_gate(values, s, message):
+    """Raise the numerical gate at the first s whose row of values is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values).reshape(len(s), -1).all(axis=1))
+    if bad.size:
+        raise CFLViolation(message.format(s=s[bad[0]]))
 
 
 def residual_profile(g, A, v, s, x, lam):

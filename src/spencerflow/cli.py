@@ -180,19 +180,19 @@ def simulate(doc, snapshot_cb=None):
         )
         while True:
             zhat = zeta.spectrum()
-            first = (zhat, *euler2d.stage(grid, zhat, points))  # (zhat, tendency, u, marker u)
+            k1, u, p1 = euler2d.stage(grid, zhat, points)
             done = t >= t_end * (1 - 1e-12)
             if step % output_every == 0 or done:
-                records.append(invariants.phi_triple(zeta, *first[2:], curves, t=t))
+                records.append(invariants.phi_triple(zeta, u, p1, curves, t=t))
                 if snapshot_cb:
                     snapshot_cb(step, t, zeta)
             if done:
                 return records, curves
-            first += (first[2].cfl_dt(),)
-            dt = min(first[-1] if dt_conf == "auto" else dt_conf, t_end - t)
+            bound = u.cfl_dt()
+            dt = min(bound if dt_conf == "auto" else dt_conf, t_end - t)
             t += dt
             step += 1
-            zeta, points = euler2d.rk4_step(zeta, dt, points, first)
+            zeta, points = euler2d.rk4_step(zeta, dt, points, (zhat, k1, p1, bound))
             curves = [
                 euler2d.MarkerCurve(c.label, p) for c, p in zip(curves, np.split(points, ends))
             ]
@@ -303,6 +303,8 @@ def load_cartan_config(doc):
     lam0 = _finite_list(doc["lambda0"], "lambda0")
     if len(lam0) != g.dim:
         raise ConfigError("lambda0 length does not match the algebra dimension")
+    if not math.isfinite(math.hypot(*lam0)):
+        raise ConfigError(f"the norm of lambda0 must be finite, not {math.hypot(*lam0)}")
     v = _finite_list(doc.get("v", [1.0]), "v")
     ds = _positive(doc["ds"], "ds")
     s_end = _finite(doc["s_end"], "s_end")
@@ -334,7 +336,20 @@ def cmd_cartan(args):
         norms = np.linalg.norm(lam, axis=1)
         big = ~np.isfinite(norms)
         norms[big] = np.hypot.reduce(lam[big], axis=1)
+    cartan.finite_gate(norms, s, "the norm of lambda leaves float64 at s={s}")
     resid = cartan.residual_profile(g, A, v, s, x, lam)
+    cartan.finite_gate(resid, s, "the residual leaves float64 at s={s}")
+    summary = {
+        "final_lambda": lam[-1].tolist(),
+        "norm_drift": float(abs(norms[-1] - norms[0])),
+        "max_residual_estimate": float(np.max(resid)),
+    }
+    if doc.get("connection", {}).get("preset") == "constant":
+        with np.errstate(over="ignore", invalid="ignore"):
+            oracle = cartan.coadjoint_flow_exact(g, Av0, lam0, s_end)
+            dev = np.max(np.abs(lam[-1] - oracle.coeffs))
+        cartan.finite_gate([dev], [s_end], "the oracle deviation leaves float64 at s={s}")
+        summary["oracle_deviation"] = float(dev)
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -346,14 +361,6 @@ def cmd_cartan(args):
             for row in np.column_stack([s, lam, norms, resid]).tolist():
                 fh.write(",".join(map(_fmt, row)) + "\n")
 
-    summary = {
-        "final_lambda": lam[-1].tolist(),
-        "norm_drift": float(abs(norms[-1] - norms[0])),
-        "max_residual_estimate": float(np.max(resid)),
-    }
-    if doc.get("connection", {}).get("preset") == "constant":
-        oracle = cartan.coadjoint_flow_exact(g, Av0, lam0, s_end)
-        summary["oracle_deviation"] = float(np.max(np.abs(lam[-1] - oracle.coeffs)))
     lines = [
         f"final lambda: {summary['final_lambda']}",
         f"norm drift:   {_fmt(summary['norm_drift'])}",

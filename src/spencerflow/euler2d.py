@@ -338,18 +338,18 @@ NO_POINTS.flags.writeable = False
 def rk4_step(zeta, dt, points=NO_POINTS, first=None):
     """Classical 4-stage step of the vorticity transport equation and of the
     (P, 2) marker points it carries, both through the same stage velocities.
-    first is (zhat, *stage(grid, zhat, points), u.cfl_dt()) for
-    zhat = zeta.spectrum() and the stage's velocity u, when the caller has it.
-    Raises CFLViolation when dt exceeds that advective bound of zeta; returns
-    (zeta, points), the points wrapped into the domain."""
+    first is (zhat, k1, p1, bound) for zhat = zeta.spectrum(), its stage's
+    tendency k1 and marker velocity p1, and the grid velocity's cfl_dt(), when
+    the caller has them. Raises CFLViolation when dt exceeds that advective
+    bound of zeta; returns (zeta, points), the points wrapped into the domain."""
     if dt == 0.0:
         return zeta, points
     g = zeta.grid
     if first is None:
         zhat = zeta.spectrum()
-        first = (zhat, *stage(g, zhat, points))
-        first += (first[2].cfl_dt(),)
-    zhat, k1, _, p1, bound = first
+        k1, u, p1 = stage(g, zhat, points)
+        first = (zhat, k1, p1, u.cfl_dt())
+    zhat, k1, p1, bound = first
     if dt > bound:
         raise CFLViolation(f"dt={dt} exceeds the advective bound {bound}")
     k2, _, p2 = stage(g, zhat + dt / 2 * k1, points + dt / 2 * p1)

@@ -81,13 +81,9 @@ def strata_classify(zeta, thresholds):
     thresholds = list(thresholds)
     if any(t < 0 for t in thresholds):
         raise ValueError("thresholds must be non-negative")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+    if any(not a < b for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly ascending")
-    labels = np.zeros(zeta.values.shape, dtype=np.int64)
-    mag = np.abs(zeta.values)
-    for tau in thresholds:
-        labels += (mag >= tau).astype(np.int64)
-    return labels
+    return np.searchsorted(thresholds, np.abs(zeta.values), side="right").astype(np.int64)
 
 
 def conservation_report(series):

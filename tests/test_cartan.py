@@ -438,6 +438,21 @@ def test_rk4_generator_stays_finite_where_the_stages_do(su2):
     assert np.max(np.abs(got - want)) <= 2 * np.finfo(float).eps * (len(got) - 1)
 
 
+@pytest.mark.parametrize("scheme", ca.SCHEMES)
+def test_generators_take_and_return_stacks_of_steps(scheme):
+    # (n, d, d) in and out; euler_paper's generators are M's own rows, no copy
+    rng = np.random.default_rng(5)
+    M0, M_mid, M_end = rng.standard_normal((3, 7, 3, 3))
+    h = rng.uniform(1e-3, 0.1, 7)
+    G = ca._generators(h, M0, M_mid, M_end, scheme)
+    if scheme == "euler_paper":
+        assert G is M0
+    else:
+        assert G.shape == (7, 3, 3) and G.flags.c_contiguous
+        for n in range(7):
+            assert np.array_equal(G[n], rk4_generator(M0[n], M_mid[n], M_end[n], h[n]))
+
+
 @pytest.mark.parametrize("scheme", ["euler_paper", "rk4"])
 def test_chunk_boundaries_keep_the_bits(su2, scheme):
     A = ca.ConnectionSampler.constant(la.LieVector(unit((0.3, -0.5, 0.8))))

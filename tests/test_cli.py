@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spencerflow import cartan, cli
@@ -439,6 +440,51 @@ def test_invalid_cartan_config_never_raises(tmp_path_factory, doc, extra):
     assert cli.main(["--json", "cartan", "--config", str(path), *extra]) in (1, 2)
 
 
+# Each lambda0 entry is moderate or near the float64 maximum.
+lambda_entries = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.floats(-1e3, -1e-3),
+    st.sampled_from([1.2e308, -1.2e308, 1.5e308, -1.5e308]),
+)
+
+
+@st.composite
+def valid_cartan_docs(draw):
+    ds = draw(st.floats(0.05, 0.9))
+    return {
+        "algebra": draw(st.sampled_from(["su2", "sl2"])),
+        "connection": {
+            "preset": "constant",
+            "params": {"a": draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))},
+        },
+        "lambda0": draw(st.lists(lambda_entries, min_size=3, max_size=3)),
+        "ds": ds,
+        "s_end": draw(st.floats(0.0, 30 * ds)),
+        "scheme": draw(st.sampled_from(cartan.SCHEMES)),
+        "renormalize": draw(st.booleans()),
+    }
+
+
+# |lambda0| past float64 with finite entries, and a residual row that overflows
+NORM_PAST_FLOAT64 = dict(BASE_CARTAN, lambda0=[1.5e308] * 3, ds=1e-3, s_end=0.01)
+RESIDUAL_PAST_FLOAT64 = dict(BASE_CARTAN, lambda0=[1.2e308, 0.0, 0.0], ds=0.9, s_end=2.7)
+
+
+@example(NORM_PAST_FLOAT64, [])
+@example(RESIDUAL_PAST_FLOAT64, [])
+@given(valid_cartan_docs(), st.sampled_from([[], ["--auto-ds"]]))
+def test_valid_cartan_config_never_raises(tmp_path_factory, doc, extra):
+    path = tmp_path_factory.mktemp("cfg") / "c.json"
+    path.write_text(json.dumps(doc))
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(["--json", "cartan", "--config", str(path), *extra])
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert printed.getvalue().count("\n") == 1
+        assert isinstance(_strict_json(printed.getvalue()), dict)
+
+
 HUGE_VORTEX = {"x": 3.0, "y": 3.0, "alpha": 1e308, "sigma": 0.7}
 
 
@@ -516,6 +562,35 @@ class TestOutputContract:
         assert big["norm_drift"] == pytest.approx(2.0**1023 * small["norm_drift"], rel=1e-9)
         growth = 1.0001**50 * math.sqrt(1 + 0.005**2)
         assert small["norm_drift"] == pytest.approx(math.sqrt(2) * (growth - 1), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--json"], ["--out", "{out}"]], ids=["text", "json", "out"]
+    )
+    @pytest.mark.parametrize(
+        "doc, rc, err",
+        [
+            (NORM_PAST_FLOAT64, 1, "config error: the norm of lambda0 must be finite, not inf\n"),
+            (RESIDUAL_PAST_FLOAT64, 2, "numerical gate: the residual leaves float64 at s=1.8\n"),
+            (dict(CARTAN, lambda0=[1e308, 1e308, 0.0], ds=0.5, s_end=1.5),
+             2, "numerical gate: the norm of lambda leaves float64 at s=1.5\n"),
+            # euler_paper grows lambda by 1 + h/0.5 a step, the exact flow by e^(h/0.5)
+            (dict(CARTAN, algebra="sl2", lambda0=[1e302] * 3, ds=0.4, s_end=8.0,
+                  connection={"preset": "constant", "params": {"a": [1, 0, 0]}}),
+             2, "numerical gate: the oracle deviation leaves float64 at s=8.0\n"),
+        ],
+        ids=["lambda0-norm", "residual", "norm", "oracle"],
+    )
+    def test_a_quantity_past_float64_prints_nothing(self, capsys, tmp_path, flags, doc, rc, err):
+        # every entry of lambda stays finite: |lambda0| is read at load, and a
+        # norm, residual or oracle deviation past float64 is the numerical gate
+        # at its first s, before any artifact or result is written
+        cfg, out_dir = tmp_path / "c.json", tmp_path / "out"
+        cfg.write_text(json.dumps(doc))
+        flags = [f.format(out=out_dir) for f in flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(capsys, [*flags, "cartan", "--config", str(cfg)]) == (rc, "", err)
+        assert not out_dir.exists()
 
 
 class TestExitCodeBoundary:

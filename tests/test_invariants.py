@@ -154,6 +154,12 @@ class TestStrata:
         with pytest.raises(ValueError):
             inv.strata_classify(zeta, [1.0, 0.5])
 
+    def test_rejects_a_nan_between_thresholds(self, grid):
+        # a nan compares false both ways, so the list is not ascending
+        zeta = eu.VorticityField(grid, np.zeros((128, 128)))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            inv.strata_classify(zeta, [0.5, math.nan, 1.0])
+
     def test_rejects_negative(self, grid):
         zeta = eu.VorticityField(grid, np.zeros((128, 128)))
         with pytest.raises(ValueError):
