@@ -96,7 +96,7 @@ def cfl_bound(g, A_dot_v):
 
 
 SCHEMES = ("euler_paper", "rk4")
-CHUNK = 256  # steps whose generators integrate builds at once
+CHUNK = 256  # steps whose generators integrate builds and scans at once
 
 
 def _mul(X, Y):
@@ -128,18 +128,29 @@ def _generators(h, M0, M_mid, M_end, scheme):
     return np.moveaxis((M0 + 2 * A2 + 2 * A3 + A4) / 6, -1, 0).copy()
 
 
-def _advance(lam, h, G, renormalize):
-    """Fill lam[n + 1] = lam[n] + h[n] * (G[n] @ lam[n]) for each step n, where
-    lam has one row more than h and G and its first row is given; renormalize
-    rescales each new row to the norm of the row before it."""
-    cur = lam[0]
-    for Gn, hn, nxt in zip(G, h, lam[1:]):
-        nxt[...] = cur + hn * Gn.dot(cur)
-        if renormalize:
-            norm1 = np.linalg.norm(nxt)
-            if norm1 > 0:
-                nxt *= np.linalg.norm(cur) / norm1
-        cur = nxt
+def _advance(lam, h, G, norm):
+    """Fill lam[k + 1] = P_k ... P_0 lam[0] with P_n = I + h[n] G[n] for each
+    step k, where lam has one row more than h and G and its first row is given.
+
+    A log-depth scan builds the increments E_k = P_k ... P_0 - I, combining a
+    later and an earlier one as E_l + E_e + E_l E_e, so no 1 + O(h) is ever
+    rounded. The rows are 2^e (u + E_k u) with u = lam[0] / 2^e exact and of
+    order 1, so E u does not overflow where the row does not. With a norm,
+    each row is rescaled to it, which is what a per-step rescale to the norm
+    of the row before comes to on a linear recursion; the norms are taken on
+    the scaled rows, so they do not overflow either."""
+    E = np.multiply(np.moveaxis(G, 0, -1), h, order="C")  # (d, d, n), steps last for _mul
+    span = 1
+    while span < len(h):
+        E[..., span:] = E[..., span:] + E[..., :-span] + _mul(E[..., span:], E[..., :-span])
+        span *= 2
+    scale = math.ldexp(1.0, math.frexp(np.max(np.abs(lam[0])))[1] - 1)
+    u = lam[0] / scale
+    rows = u[:, None] + sum(E[:, j] * u[j] for j in range(len(u)))  # (d, n)
+    if norm is not None:
+        norms = np.hypot.reduce(rows, axis=0)
+        rows *= np.divide(norm / scale, norms, out=np.ones_like(norms), where=norms > 0)
+    lam[1:] = (rows * scale).T
 
 
 def _gate(h, bound):
@@ -185,8 +196,9 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
     A.v is contracted at every state (and, for rk4, every midpoint) and the
     CFL gate is checked on every step before the lambda recursion starts;
     the first step is checked at the origin before the path is built.
-    The recursion is linear, so each step is one matrix-vector product with
-    its generator G (see _generators), built for CHUNK steps at a time.
+    The recursion is linear, so each step multiplies lambda by I + h G with
+    one generator G per step (see _generators); G is built and the products
+    are scanned (see _advance) CHUNK steps at a time.
     Overflow is not reported by numpy here: a base point or a lambda that
     leaves float64 raises the gate instead."""
     if scheme not in SCHEMES:
@@ -218,10 +230,11 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
     lam0 = _floats(lam0)
     lam = np.empty((len(s), len(lam0)))
     lam[0] = lam0
+    norm = math.hypot(*lam0) if renormalize else None
     for n in range(0, len(h), CHUNK):
         end = min(n + CHUNK, len(h))
         G = _generators(h[n:end], M[n:end], M_mid[n:end], M[n + 1 : end + 1], scheme)
-        _advance(lam[n : end + 1], h[n:end].tolist(), G, renormalize)
+        _advance(lam[n : end + 1], h[n:end], G, norm)
     finite_gate(lam, s, "non-finite state after the step to s={s}")
     return s, x, lam
 

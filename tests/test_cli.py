@@ -332,6 +332,19 @@ class TestCartan:
         assert out == ""
         assert err.startswith("config error: renormalize must be true or false")
 
+    @pytest.mark.parametrize("scheme", ["euler_paper", "rk4"])
+    def test_renormalize_holds_a_lambda_whose_square_overflows(self, capsys, tmp_path, scheme):
+        # |lambda| = 1e200 is far inside float64, but its square is not
+        cfg = self.write_config(
+            tmp_path / "c.json", lambda0=[1e200, 0.0, 0.0], ds=0.1, s_end=1.0,
+            scheme=scheme, renormalize=True,
+        )
+        rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg)])
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        assert math.isfinite(doc["norm_drift"])
+        assert doc["norm_drift"] <= 4 * np.finfo(float).eps * 1e200
+
     def test_step_count_past_an_index_is_config_error(self, capsys, tmp_path):
         # ds = 1e-30 (a typo for 1e-3) asks for 1e30 steps
         cfg = self.write_config(tmp_path / "c.json", ds=1e-30, s_end=1.0)
@@ -753,7 +766,7 @@ class TestModuleEntry:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == (
-            "numerical gate: non-finite state after the step to s=389.10000000002\n"
+            "numerical gate: non-finite state after the step to s=389.40000000002004\n"
         )
 
     def test_a_vortex_narrower_than_float64_prints_only_the_config_line(self, tmp_path):
