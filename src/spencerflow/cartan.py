@@ -96,7 +96,9 @@ def cfl_bound(g, A_dot_v):
 
 
 SCHEMES = ("euler_paper", "rk4")
-CHUNK = 256  # steps whose generators integrate builds and scans at once
+CHUNK = 256  # steps whose generators integrate builds at once
+GROWTH_BITS = 500  # log2 of what a scanned window's products may grow by
+SHRINK = 0.5  # a window ends at its first row below this part of its start
 
 
 def _mul(X, Y):
@@ -108,49 +110,72 @@ def _mul(X, Y):
 
 def _generators(h, M0, M_mid, M_end, scheme):
     """The generators G with lambda(s+h) = lambda + h * (G @ lambda) of n steps
-    of sizes h (n,), as an (n, d, d) stack, from the (n, d, d) stacks of the
-    generators M at each step's start, midpoint and end.
+    of sizes h (n,), as a (d, d, n) stack with the step axis last, from the
+    (n, d, d) stacks of the generators M at each step's start, midpoint and end.
 
-    euler_paper is G = M0, returned as given. rk4 is the classical 4-stage
-    scheme written as a matrix polynomial: its stages are k_i = A_i lambda with
-    A_1 = M0, A_2 = M_mid + (h/2 M_mid) A_1, A_3 = M_mid + (h/2 M_mid) A_2 and
-    A_4 = M_end + (h M_end) A_3, so G = (A_1 + 2 A_2 + 2 A_3 + A_4) / 6, built
-    on steps-last copies for _mul. Each product takes h on its left factor,
-    whose entries the CFL gate keeps below 1, so G leaves float64 only where M
-    does."""
+    euler_paper is G = M0, returned as a steps-last view. rk4 is the classical
+    4-stage scheme written as a matrix polynomial: its stages are k_i = A_i
+    lambda with A_1 = M0, A_2 = M_mid + (h/2 M_mid) A_1, A_3 = M_mid +
+    (h/2 M_mid) A_2 and A_4 = M_end + (h M_end) A_3, so G = (A_1 + 2 A_2 +
+    2 A_3 + A_4) / 6, built on steps-last copies for _mul. Each product takes
+    h on its left factor, whose entries the CFL gate keeps below 1, so G
+    leaves float64 only where M does."""
     if scheme == "euler_paper":
-        return M0
+        return np.moveaxis(M0, 0, -1)
     M0, M_mid, M_end = (np.moveaxis(M, 0, -1).copy() for M in (M0, M_mid, M_end))
     half = h / 2 * M_mid
     A2 = M_mid + _mul(half, M0)
     A3 = M_mid + _mul(half, A2)
     A4 = M_end + _mul(h * M_end, A3)
-    return np.moveaxis((M0 + 2 * A2 + 2 * A3 + A4) / 6, -1, 0).copy()
+    return (M0 + 2 * A2 + 2 * A3 + A4) / 6
 
 
 def _advance(lam, h, G, norm):
-    """Fill lam[k + 1] = P_k ... P_0 lam[0] with P_n = I + h[n] G[n] for each
-    step k, where lam has one row more than h and G and its first row is given.
+    """Fill lam[k + 1] = P_k ... P_0 lam[0] with P_n = I + h[n] G[:, :, n] for
+    each step k, where lam has one row more than h and G has one generator
+    per step and its first row is given.
 
-    A log-depth scan builds the increments E_k = P_k ... P_0 - I, combining a
-    later and an earlier one as E_l + E_e + E_l E_e, so no 1 + O(h) is ever
-    rounded. The rows are 2^e (u + E_k u) with u = lam[0] / 2^e exact and of
-    order 1, so E u does not overflow where the row does not. With a norm,
-    each row is rescaled to it, which is what a per-step rescale to the norm
-    of the row before comes to on a linear recursion; the norms are taken on
-    the scaled rows, so they do not overflow either."""
-    E = np.multiply(np.moveaxis(G, 0, -1), h, order="C")  # (d, d, n), steps last for _mul
-    span = 1
-    while span < len(h):
-        E[..., span:] = E[..., span:] + E[..., :-span] + _mul(E[..., span:], E[..., :-span])
-        span *= 2
-    scale = math.ldexp(1.0, math.frexp(np.max(np.abs(lam[0])))[1] - 1)
-    u = lam[0] / scale
-    rows = u[:, None] + sum(E[:, j] * u[j] for j in range(len(u)))  # (d, n)
-    if norm is not None:
-        norms = np.hypot.reduce(rows, axis=0)
-        rows *= np.divide(norm / scale, norms, out=np.ones_like(norms), where=norms > 0)
-    lam[1:] = (rows * scale).T
+    The steps are taken in windows, each from its first row lam[i]. A
+    log-depth scan builds the increments E_k = P_k ... P_i - I of a window,
+    combining a later and an earlier one as E_l + E_e + E_l E_e, so no 1 + O(h)
+    is ever rounded. The rows are 2^e (u + E_k u) with u = lam[i] / 2^e exact
+    and of order 1, so E u does not overflow where the row does not.
+    A row is thus exact to about eps |u|, not eps of itself. So a window ends
+    at its first row whose norm falls below SHRINK |u|, which starts the next
+    one; the next window is twice the rows kept, and after a full window it
+    doubles.
+    A window also ends before the bound prod (1 + h |G|_inf) on its E grows
+    past 2^GROWTH_BITS, so E stays finite however long the steps run; the
+    per-step norms are taken only where d max|h G| does not keep the whole
+    window inside that bound.
+    With a norm, each row is rescaled to it, which is what a per-step rescale
+    to the norm of the row before comes to on a linear recursion; the norms
+    are taken on the scaled rows, so they do not overflow either."""
+    start, width = 0, len(h)
+    while start < len(h):
+        end = min(start + width, len(h))
+        E = np.multiply(G[..., start:end], h[start:end], order="C")  # (d, d, w)
+        if (end - start) * math.log2(1 + len(E) * np.abs(E).max()) > GROWTH_BITS:
+            bits = np.cumsum(np.log2(1 + np.max(np.sum(np.abs(E), axis=1), axis=0)))
+            end = start + max(1, np.searchsorted(bits, GROWTH_BITS, side="right"))
+            E = E[..., : end - start]
+        span = 1
+        while span < end - start:
+            E[..., span:] = E[..., span:] + E[..., :-span] + _mul(E[..., span:], E[..., :-span])
+            span *= 2
+        scale = math.ldexp(1.0, math.frexp(np.max(np.abs(lam[start])))[1] - 1)
+        u = lam[start] / scale
+        rows = u[:, None] + sum(E[:, j] * u[j] for j in range(len(u)))  # (d, w)
+        squares = np.einsum("ij,ij->j", rows, rows)  # E's bound keeps them finite
+        small = np.flatnonzero(squares < SHRINK**2 * (u @ u))
+        kept = small[0] + 1 if small.size else end - start
+        rows = rows[:, :kept]
+        if norm is not None:
+            norms = np.hypot.reduce(rows, axis=0)
+            rows *= np.divide(norm / scale, norms, out=np.ones_like(norms), where=norms > 0)
+        lam[start + 1 : start + kept + 1] = (rows * scale).T
+        width = 2 * (kept if small.size else width)
+        start += kept
 
 
 def _gate(h, bound):
@@ -197,8 +222,8 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
     CFL gate is checked on every step before the lambda recursion starts;
     the first step is checked at the origin before the path is built.
     The recursion is linear, so each step multiplies lambda by I + h G with
-    one generator G per step (see _generators); G is built and the products
-    are scanned (see _advance) CHUNK steps at a time.
+    one generator G per step (see _generators), built CHUNK steps at a time;
+    _advance scans the products of each chunk.
     Overflow is not reported by numpy here: a base point or a lambda that
     leaves float64 raises the gate instead."""
     if scheme not in SCHEMES:

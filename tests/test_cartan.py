@@ -450,17 +450,19 @@ def test_rk4_generator_stays_finite_where_the_stages_do(su2):
 
 @pytest.mark.parametrize("scheme", ca.SCHEMES)
 def test_generators_take_and_return_stacks_of_steps(scheme):
-    # (n, d, d) in and out; euler_paper's generators are M's own rows, no copy
+    # (n, d, d) in, (d, d, n) out for the scan; euler_paper's generators are
+    # a view of M's own rows, no copy
     rng = np.random.default_rng(5)
     M0, M_mid, M_end = rng.standard_normal((3, 7, 3, 3))
     h = rng.uniform(1e-3, 0.1, 7)
     G = ca._generators(h, M0, M_mid, M_end, scheme)
+    assert G.shape == (3, 3, 7)
     if scheme == "euler_paper":
-        assert G is M0
+        assert np.shares_memory(G, M0) and np.array_equal(G, np.moveaxis(M0, 0, -1))
     else:
-        assert G.shape == (7, 3, 3) and G.flags.c_contiguous
+        assert G.flags.c_contiguous
         for n in range(7):
-            assert np.array_equal(G[n], rk4_generator(M0[n], M_mid[n], M_end[n], h[n]))
+            assert np.array_equal(G[..., n], rk4_generator(M0[n], M_mid[n], M_end[n], h[n]))
 
 
 @pytest.mark.parametrize("scheme", ["euler_paper", "rk4"])
@@ -503,10 +505,51 @@ def test_renormalize_holds_the_norm_where_lambda_would_overflow(scheme, ds):
     assert drift <= 16 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("scheme", ca.SCHEMES)
+@pytest.mark.parametrize("ds", [0.1, 0.49])
+def test_renormalize_holds_a_decaying_lambda_on_its_axis(scheme, ds):
+    # on sl2 the e axis decays as e^(-2s), by 0.02 a step under euler_paper at
+    # ds = 0.49; a row scanned from far larger ones would round to 0 or to a
+    # sign-flipped +-1, so each row must be scanned from one of its own size
+    g = la.preset("sl2")
+    A = ca.ConnectionSampler.constant(la.LieVector((1.0, 0.0, 0.0)))
+    _, _, lam = ca.integrate(g, la.DualVector((0.0, 1.0, 0.0)), A, (1.0,), ds, 400.0, scheme, True)
+    assert np.max(np.abs(lam - (0.0, 1.0, 0.0))) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("scheme", ca.SCHEMES)
+@pytest.mark.parametrize("ds", [0.1, 0.49])
+def test_a_decaying_lambda_keeps_the_precision_of_each_row(scheme, ds):
+    # unrenormalized, the same axis shrinks to 1e-104 by s = 30; each row
+    # stays within 2 eps per step of itself, as the reference loop keeps it
+    # (the gap measured 0.3 eps per step)
+    g = la.preset("sl2")
+    A = ca.ConnectionSampler.constant(la.LieVector((1.0, 0.0, 0.0)))
+    args = (g, la.DualVector((0.0, 1.0, 0.0)), A, (1.0,), ds, 30.0, scheme, False)
+    _, _, got = ca.integrate(*args)
+    _, _, want = reference_loop(*args)
+    steps = np.arange(len(want))[:, None]
+    assert np.all(want[:, 1] > 0)
+    assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * steps * want[:, 1:2])
+
+
+@pytest.mark.parametrize("scheme", ca.SCHEMES)
+@pytest.mark.parametrize("lam, renorm", [((1, 0, 0, 0, 0, 0), False), ((1, 0, 0, 0, 0, 1), True)])
+def test_step_products_that_pass_float64_leave_lambda_finite(scheme, lam, renorm):
+    # [x_i, y] = y for i = 1..5 and A.v = -9.9 sum x_i at ds = 0.1, 0.99 of
+    # the bound: rk4 multiplies y by 63 a step, so the product of a 256-step
+    # chunk passes float64, where lambda without y, or renormalized, does not
+    g = la.from_json({"dim": 6, "labels": ["x1", "x2", "x3", "x4", "x5", "y"],
+                      "constants": [[i, 5, 5, 1, 1] for i in range(5)]})
+    A = ca.ConnectionSampler.constant(la.LieVector((-9.9,) * 5 + (0.0,)))
+    args = (g, la.DualVector(lam), A, (1.0,), 0.1, 30.0, scheme, renorm)
+    assert_matches_reference(ca.integrate(*args), reference_loop(*args))
+
+
 def product_scan(lam, h, G, norm):
     """_advance with the scan taken on the step propagators P = I + h G
     themselves, each level rounding a product of two 1 + O(h) matrices."""
-    P = np.eye(len(lam[0]))[..., None] + np.multiply(np.moveaxis(G, 0, -1), h, order="C")
+    P = np.eye(len(lam[0]))[..., None] + G * h
     span = 1
     while span < len(h):
         P[..., span:] = ca._mul(P[..., span:], P[..., :-span])

@@ -345,6 +345,33 @@ class TestCartan:
         assert math.isfinite(doc["norm_drift"])
         assert doc["norm_drift"] <= 4 * np.finfo(float).eps * 1e200
 
+    @pytest.mark.parametrize("scheme", ["euler_paper", "rk4"])
+    @pytest.mark.parametrize("lambda0, renormalize", [([1.0] + [0.0] * 10, False),
+                                                      ([1.0] + [0.0] * 9 + [1.0], True)])
+    def test_a_file_algebra_whose_step_products_pass_float64_runs(
+        self, capsys, tmp_path, scheme, lambda0, renormalize
+    ):
+        # [x_i, y] = y for i = 1..10 and A.v = 9.9 sum x_i at ds = 0.1, 0.99 of
+        # the bound: y decays as e^(-99 s), but rk4 multiplies it by 279 a step,
+        # so a 256-step product passes float64 while lambda stays finite
+        algebra = tmp_path / "g.json"
+        algebra.write_text(json.dumps({
+            "dim": 11, "labels": [f"x{i}" for i in range(1, 11)] + ["y"],
+            "constants": [[i, 10, 10, 1, 1] for i in range(10)],
+        }))
+        cfg = self.write_config(
+            tmp_path / "c.json", algebra=str(algebra), lambda0=lambda0, ds=0.1, s_end=30.0,
+            connection={"preset": "constant", "params": {"a": [9.9] * 10 + [0.0]}},
+            scheme=scheme, renormalize=renormalize,
+        )
+        rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg)])
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        if renormalize:
+            assert doc["norm_drift"] <= 4 * np.finfo(float).eps
+        else:
+            assert doc["final_lambda"] == lambda0 and doc["oracle_deviation"] == 0.0
+
     def test_step_count_past_an_index_is_config_error(self, capsys, tmp_path):
         # ds = 1e-30 (a typo for 1e-3) asks for 1e30 steps
         cfg = self.write_config(tmp_path / "c.json", ds=1e-30, s_end=1.0)
