@@ -328,7 +328,7 @@ def cmd_cartan(args):
     g, A, lam0, v, ds, s_end, scheme, renorm = load_cartan_config(doc)
 
     Av0 = A.contract(np.zeros((1, len(v))), v)[0]
-    if args.auto_ds and ds >= (bound := cartan.cfl_bound(g, Av0)):
+    if args.auto_ds and ds >= (bound := cartan.cfl_bound(cartan.rhs_generator(g, Av0))):
         ds = bound / 2.0
 
     s, x, lam = cartan.integrate(g, lam0, A, v, ds, s_end, scheme, renorm)

@@ -3,6 +3,7 @@ that breaks the benchmark tracer fails here."""
 
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +31,19 @@ def test_tracer_targets_resolve_in_spencerflow():
     spans = [*tracer.NAMED, ("euler2d", "rk4_step"), ("cartan", "integrate")]
     for module, attr in spans:
         assert inspect.isfunction(getattr(importlib.import_module(f"spencerflow.{module}"), attr))
+
+
+def test_bench_baseline_holds_every_workload_and_end_to_end_metric():
+    # BENCH_1.json is the committed baseline that later BENCH_<n>.json compare
+    # with; it must name every workload and end-to-end metric of the benchmark.
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    with open(os.path.join(ROOT, "BENCH_1.json")) as fh:
+        bench = json.load(fh)
+    assert {"git_sha", "python", "numpy", "nproc", "OPENBLAS_NUM_THREADS"} <= set(bench)
+    for workload in spec["workloads"]:
+        result = bench["workloads"][workload["name"]]["result"]
+        assert result["correct"] and result["failed"] == 0
+        for metric in spec["end_to_end"]:
+            value = result["metrics"][metric["name"]]
+            assert value["unit"] == metric["unit"] and value["value"] > 0

@@ -55,14 +55,16 @@ class TestRhs:
 
 
 class TestCFL:
+    """ds_max = 1 / ||M||_inf for each generator M = rhs_generator(g, A.v)."""
+
     def test_abelian_unbounded(self, ab2):
-        assert ca.cfl_bound(ab2, la.LieVector((1.0, 1.0))) == math.inf
+        assert ca.cfl_bound(ca.rhs_generator(ab2, la.LieVector((1.0, 1.0)))) == math.inf
 
     def test_su2_unit(self, su2):
-        assert ca.cfl_bound(su2, E3) == 1.0
+        assert ca.cfl_bound(ca.rhs_generator(su2, E3)) == 1.0
 
     def test_linear_scaling(self, su2):
-        assert ca.cfl_bound(su2, la.LieVector((0.0, 0.0, 2.0))) == 0.5
+        assert ca.cfl_bound(ca.rhs_generator(su2, la.LieVector((0.0, 0.0, 2.0)))) == 0.5
 
     def test_gate_rejects_before_mutation(self, su2):
         A = ca.ConnectionSampler.constant(E3)
@@ -77,10 +79,10 @@ class TestCFL:
         C = structure_tensor_loop(g)
         Av = np.random.default_rng(2).standard_normal((5, 3))
         M = ca.rhs_generator(g, Av)
-        bound = ca.cfl_bound(g, Av)
+        bound = ca.cfl_bound(M)
         for n in range(5):
             assert np.array_equal(M[n], -np.einsum("bac,b->ac", C, Av[n]))
-            assert bound[n] == 1.0 / np.max(np.abs(C * Av[n][:, None, None]))
+            assert bound[n] == 1.0 / np.linalg.norm(M[n], np.inf)
 
     def test_base_point_overflow_is_gate(self):
         A = ca.ConnectionSampler.wu_yang_monopole(0.5)
@@ -533,17 +535,89 @@ def test_a_decaying_lambda_keeps_the_precision_of_each_row(scheme, ds):
     assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * steps * want[:, 1:2])
 
 
+def axis_algebra(k):
+    """[x_i, y] = y for i = 1..k. With A.v = sum a_i x_i, M is zero but for
+    M_yy = -sum a_i, so y is the one moving mode: it decays where
+    sum a_i > 0 and grows where sum a_i < 0."""
+    return la.from_json({"dim": k + 1, "labels": [f"x{i}" for i in range(1, k + 1)] + ["y"],
+                         "constants": [[i, k, k, 1, 1] for i in range(k)]})
+
+
 @pytest.mark.parametrize("scheme", ca.SCHEMES)
 @pytest.mark.parametrize("lam, renorm", [((1, 0, 0, 0, 0, 0), False), ((1, 0, 0, 0, 0, 1), True)])
 def test_step_products_that_pass_float64_leave_lambda_finite(scheme, lam, renorm):
-    # [x_i, y] = y for i = 1..5 and A.v = -9.9 sum x_i at ds = 0.1, 0.99 of
-    # the bound: rk4 multiplies y by 63 a step, so the product of a 256-step
-    # chunk passes float64, where lambda without y, or renormalized, does not
-    g = la.from_json({"dim": 6, "labels": ["x1", "x2", "x3", "x4", "x5", "y"],
-                      "constants": [[i, 5, 5, 1, 1] for i in range(5)]})
-    A = ca.ConnectionSampler.constant(la.LieVector((-9.9,) * 5 + (0.0,)))
-    args = (g, la.DualVector(lam), A, (1.0,), 0.1, 30.0, scheme, renorm)
+    # [x_i, y] = y for i = 1..5 and A.v = -9.9 sum x_i, so M_yy = 49.5. At
+    # ds = 0.1, ds times the largest term |C^c_ba (A.v)^b| = 9.9 is 0.99, but
+    # ds ||M||_inf is 4.95: rk4 would multiply y by 63 a step, and a 256-step
+    # chunk's products would pass float64. The gate refuses that step; at
+    # half its bound the scan follows the reference loop.
+    g, a = axis_algebra(5), la.LieVector((-9.9,) * 5 + (0.0,))
+    args = (g, la.DualVector(lam), ca.ConnectionSampler.constant(a), (1.0,))
+    with pytest.raises(ca.CFLViolation, match=r"^step size 0\.1 >= stability bound 0\.0202"):
+        ca.integrate(*args, 0.1, 30.0, scheme, renorm)
+    ds = ca.cfl_bound(ca.rhs_generator(g, a)) / 2
+    args = (*args, ds, 30.0, scheme, renorm)
     assert_matches_reference(ca.integrate(*args), reference_loop(*args))
+
+
+decaying_axis_runs = st.integers(1, 10).flatmap(lambda k: st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k).filter(lambda a: sum(a) >= 0.1),
+    st.lists(st.floats(-1.0, 1.0), min_size=k + 1, max_size=k + 1),
+))
+
+
+@given(decaying_axis_runs, st.floats(0.05, 0.99), st.sampled_from(ca.SCHEMES))
+def test_the_gate_keeps_a_decaying_axis_decaying(run, frac, scheme):
+    # Inside the gate each step multiplies y by 1 - f (euler_paper) or
+    # 1 - f + f^2/2 - f^3/6 + f^4/24 (rk4), both in (0, 1) for f = h |M_yy| < 1,
+    # so |lambda| never grows and y keeps its sign. Over s_end = 40 / |M_yy|
+    # both factors fall below e^-39, as the exact flow's does, and the x axes
+    # do not move, so the final lambda is the exact one to rounding. A gate
+    # on the largest term |C^y_(x_i y) a_i| = |a_i| of M_yy lets f reach
+    # sum a_i / max|a_i|.
+    a, lam0 = run
+    g, a = axis_algebra(len(a)), la.LieVector((*a, 0.0))
+    bound = ca.cfl_bound(ca.rhs_generator(g, a))
+    ds, s_end = frac * bound, 40 * bound
+    A, lam0 = ca.ConnectionSampler.constant(a), la.DualVector(lam0)
+    _, _, lam = ca.integrate(g, lam0, A, (1.0,), ds, s_end, scheme)
+    norms = np.linalg.norm(lam, axis=1)
+    assert np.all(norms[1:] <= norms[:-1])
+    assert np.all(lam[:, -1] * lam[0, -1] >= 0)
+    exact = ca.coadjoint_flow_exact(g, a, lam0, s_end).coeffs
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(lam[-1] - exact)) <= (len(lam) - 1) * eps * np.max(np.abs(lam[0]))
+
+
+@given(
+    st.sampled_from(ca.SCHEMES),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.floats(0.0, 0.999),
+    st.floats(0.0, 20.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_gated_generators_keep_a_window_inside_float64(scheme, d, n, x_max, diag, seed):
+    # The gate keeps x = h ||M||_inf < 1 at each step's start, midpoint and
+    # end. rk4's G then has h ||G||_inf <= x + x^2/2 + x^3/6 + x^4/24 < e - 1
+    # for x the largest of the three (a positive multiple of I reaches it),
+    # and euler_paper's G is M0, so a window of CHUNK steps has
+    # ||E||_inf < e^CHUNK. diag shifts M towards such a multiple of I.
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(1e-3, 1.0, n)
+    M = rng.standard_normal((3, n, d, d)) + diag * np.eye(d)
+    norms = np.linalg.norm(M, np.inf, axis=(2, 3))  # (3, n)
+    M *= (rng.uniform(0.0, x_max, (3, n)) / (h * norms))[..., None, None]
+    x = h * np.max(np.linalg.norm(M, np.inf, axis=(2, 3)), axis=0)
+    assert np.all(x < 1)
+    G = ca._generators(h, *M, scheme)
+    hG = h * np.linalg.norm(np.moveaxis(G, -1, 0), np.inf, axis=(1, 2))
+    if scheme == "euler_paper":
+        assert np.all(hG < 1)
+    else:
+        eps = np.finfo(float).eps
+        assert np.all(hG <= (x + x**2 / 2 + x**3 / 6 + x**4 / 24) * (1 + 8 * d * eps))
+        assert np.all(hG < math.e - 1)
 
 
 def product_scan(lam, h, G, norm):

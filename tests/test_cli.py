@@ -345,32 +345,51 @@ class TestCartan:
         assert math.isfinite(doc["norm_drift"])
         assert doc["norm_drift"] <= 4 * np.finfo(float).eps * 1e200
 
+    def write_decaying_axis_config(self, tmp_path, **overrides):
+        """[x_i, y] = y for i = 1..10 and A.v = 9.9 sum x_i, so M_yy = -99 and
+        y decays as e^(-99 s). At ds = 0.1, ds times the largest term
+        |C^c_ba (A.v)^b| = 9.9 is 0.99, but ds ||M||_inf is 9.9, where rk4
+        would multiply y by 279 a step."""
+        algebra = tmp_path / "g.json"
+        algebra.write_text(json.dumps({
+            "dim": 11, "labels": [f"x{i}" for i in range(1, 11)] + ["y"],
+            "constants": [[i, 10, 10, 1, 1] for i in range(10)],
+        }))
+        return self.write_config(
+            tmp_path / "c.json", algebra=str(algebra), ds=0.1, s_end=30.0,
+            connection={"preset": "constant", "params": {"a": [9.9] * 10 + [0.0]}}, **overrides,
+        )
+
     @pytest.mark.parametrize("scheme", ["euler_paper", "rk4"])
     @pytest.mark.parametrize("lambda0, renormalize", [([1.0] + [0.0] * 10, False),
                                                       ([1.0] + [0.0] * 9 + [1.0], True)])
     def test_a_file_algebra_whose_step_products_pass_float64_runs(
         self, capsys, tmp_path, scheme, lambda0, renormalize
     ):
-        # [x_i, y] = y for i = 1..10 and A.v = 9.9 sum x_i at ds = 0.1, 0.99 of
-        # the bound: y decays as e^(-99 s), but rk4 multiplies it by 279 a step,
-        # so a 256-step product passes float64 while lambda stays finite
-        algebra = tmp_path / "g.json"
-        algebra.write_text(json.dumps({
-            "dim": 11, "labels": [f"x{i}" for i in range(1, 11)] + ["y"],
-            "constants": [[i, 10, 10, 1, 1] for i in range(10)],
-        }))
-        cfg = self.write_config(
-            tmp_path / "c.json", algebra=str(algebra), lambda0=lambda0, ds=0.1, s_end=30.0,
-            connection={"preset": "constant", "params": {"a": [9.9] * 10 + [0.0]}},
-            scheme=scheme, renormalize=renormalize,
+        # the step gate reads ||M||_inf, so the steps whose 256-step products
+        # passed float64 no longer run, with or without renormalize
+        cfg = self.write_decaying_axis_config(
+            tmp_path, lambda0=lambda0, scheme=scheme, renormalize=renormalize
         )
         rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        assert err == (
+            "numerical gate: step size 0.1 >= stability bound 0.0101010101010101 "
+            "(ds * ||M||_inf must stay below 1); rerun with --auto-ds or a smaller ds\n"
+        )
+
+    @pytest.mark.parametrize("scheme", ["euler_paper", "rk4"])
+    def test_auto_ds_takes_a_decaying_axis_to_the_exact_lambda(self, capsys, tmp_path, scheme):
+        # ds = 1 / 198: each step multiplies y by 0.5 (euler_paper) or 0.607
+        # (rk4), which rounds to 0 long before s_end, as e^(-2970) does
+        cfg = self.write_decaying_axis_config(
+            tmp_path, lambda0=[1.0] + [0.0] * 9 + [1.0], scheme=scheme
+        )
+        rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg), "--auto-ds"])
         assert (rc, err) == (0, "")
         doc = json.loads(out)
-        if renormalize:
-            assert doc["norm_drift"] <= 4 * np.finfo(float).eps
-        else:
-            assert doc["final_lambda"] == lambda0 and doc["oracle_deviation"] == 0.0
+        assert doc["final_lambda"] == [1.0] + [0.0] * 10
+        assert doc["oracle_deviation"] <= 1e-12
 
     def test_step_count_past_an_index_is_config_error(self, capsys, tmp_path):
         # ds = 1e-30 (a typo for 1e-3) asks for 1e30 steps
@@ -392,6 +411,23 @@ class TestCartan:
         assert (rc, out) == (2, "")
         assert err == (
             "numerical gate: step size 5e-309 needs inf steps to s_end=1.0, "
+            "more than an index can count\n"
+        )
+
+    @pytest.mark.parametrize("algebra, a", [("su2", [1e308] * 3), ("sl2", [1e308, 0.0, 0.0])])
+    def test_auto_ds_on_a_generator_norm_past_float64_is_gate_exit(
+        self, capsys, tmp_path, algebra, a
+    ):
+        # every entry of M is finite, but a row sum of |M| passes float64, so
+        # the bound is 0 and so is the step --auto-ds derives from it
+        cfg = self.write_config(
+            tmp_path / "c.json", algebra=algebra, s_end=1.0,
+            connection={"preset": "constant", "params": {"a": a}},
+        )
+        rc, out, err = run_cli(capsys, ["cartan", "--config", str(cfg), "--auto-ds"])
+        assert (rc, out) == (2, "")
+        assert err == (
+            "numerical gate: step size 0.0 needs inf steps to s_end=1.0, "
             "more than an index can count\n"
         )
 
