@@ -328,7 +328,8 @@ def cmd_cartan(args):
     g, A, lam0, v, ds, s_end, scheme, renorm = load_cartan_config(doc)
 
     Av0 = A.contract(np.zeros((1, len(v))), v)[0]
-    if args.auto_ds and ds >= (bound := cartan.cfl_bound(cartan.rhs_generator(g, Av0))):
+    # a bound of 0 leaves ds as it is, for integrate's origin gate to judge
+    if args.auto_ds and ds >= (bound := cartan.cfl_bound(cartan.rhs_generator(g, Av0))) > 0:
         ds = bound / 2.0
 
     s, x, lam = cartan.integrate(g, lam0, A, v, ds, s_end, scheme, renorm)

@@ -54,23 +54,22 @@ class GridSpec:
         return np.meshgrid(x, x, indexing="ij")
 
     def wavenumbers(self):
-        kx, ky, _, _ = _spectral_ops(self)
-        return kx, ky
+        return _spectral_ops(self)[:2]
 
 
 @functools.cache
 def _spectral_ops(grid):
-    """(kx (N, 1), ky (1, N/2+1), 1/k^2 with 0 at k=0, 2/3-rule dealias mask)
-    of a grid on the rfft2 half-plane, built once per distinct grid and
+    """(kx (N, 1), ky (1, N/2+1), 1/k^2, 2/3-rule dealias mask, kx^2 - ky^2,
+    kx ky) of a grid on the rfft2 half-plane, built once per distinct grid and
     returned read-only because every caller shares them. The mask also zeroes
-    the Nyquist row and column."""
+    the Nyquist row and column; the last three carry it and are 0 at k = 0."""
     kx = 2.0 * math.pi * np.fft.fftfreq(grid.N, d=grid.dx)[:, None]
     ky = 2.0 * math.pi * np.fft.rfftfreq(grid.N, d=grid.dx)[None, :]
-    k2 = kx**2 + ky**2
-    inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
     keep = np.abs(np.fft.fftfreq(grid.N, d=1.0 / grid.N)) <= grid.N / 3.0
     mask = keep[:, None] & keep[None, : grid.N // 2 + 1]
-    ops = (kx, ky, inv_k2, mask)
+    k2 = kx**2 + ky**2
+    inv_k2 = np.divide(mask, k2, out=np.zeros_like(k2), where=k2 > 0)
+    ops = (kx, ky, inv_k2, mask, (kx**2 - ky**2) * mask, kx * ky * mask)
     for arr in ops:
         arr.flags.writeable = False
     return ops
@@ -143,10 +142,10 @@ class MarkerCurve:
 
 
 def _velocity_spectrum(grid, zhat):
-    """The one psi inversion: the (u_x, u_y) spectra of the vorticity spectrum
-    zhat. The k=0 mode of psi is zero (a constant vorticity offset produces no
-    velocity)."""
-    kx, ky, inv_k2, _ = _spectral_ops(grid)
+    """The one psi inversion: the (u_x, u_y) spectra of the dealiased
+    vorticity spectrum zhat. The k=0 mode of psi is zero (a constant vorticity
+    offset produces no velocity)."""
+    kx, ky, inv_k2 = _spectral_ops(grid)[:3]
     psi_hat = zhat * inv_k2
     return 1j * ky * psi_hat, -1j * kx * psi_hat
 
@@ -158,7 +157,7 @@ def _grid_velocity(grid, uhat):
 def velocity_from_vorticity(zeta):
     """The velocity of the dealiased zeta on the grid."""
     g = zeta.grid
-    return _grid_velocity(g, _velocity_spectrum(g, zeta.spectrum() * _spectral_ops(g)[3]))
+    return _grid_velocity(g, _velocity_spectrum(g, zeta.spectrum()))
 
 
 def point_values(grid, fhat, points):
@@ -305,27 +304,25 @@ def stage(grid, zhat, points):
     """The RK4 stage kernel. For the vorticity spectrum zhat (rfft2
     half-plane) and the (P, 2) marker points, from one psi inversion of the
     dealiased field: the tendency spectrum of -(u . grad) zeta, dealiased and
-    with its mean mode pinned to zero (the nonlinear term is a flux
-    divergence); the velocity on the grid; the (P, 2) velocity at the points.
+    with its mean mode zero; the velocity on the grid; the (P, 2) velocity at
+    the points. For divergence-free u the tendency is Basdevant's
+    (kx^2 - ky^2) F[u_x u_y] + kx ky F[u_y^2 - u_x^2] (J. Comput. Phys. 50,
+    1983): 2 irfft2 and 2 rfft2, whose products' rounding is scaled by k^2.
     From N = OVERLAP_N up and with two CPUs or more, the helper thread takes
     blocks of the marker sum from the front while this thread does the FFTs;
     then this thread takes the blocks left, from the last one back."""
-    kx, ky, _, mask = _spectral_ops(grid)
-    zhat = zhat * mask
+    diff, cross = _spectral_ops(grid)[4:]
     uhat = _velocity_spectrum(grid, zhat)
     markers = _MarkerSum(grid, uhat, points)
     if markers.starts and grid.N >= OVERLAP_N and _cpus() > 1:
         _helper.submit(markers.help)
     try:
         u = _grid_velocity(grid, uhat)
-        zx = np.fft.irfft2(1j * kx * zhat)
-        zy = np.fft.irfft2(1j * ky * zhat)
-        zx *= u.u_x
-        zy *= u.u_y
-        zx += zy
-        out = np.fft.rfft2(np.negative(zx, out=zx))
-        out *= mask
-        out[0, 0] = 0.0
+        out = np.fft.rfft2(u.u_x * u.u_y)
+        out *= diff
+        sq = np.fft.rfft2(u.u_y * u.u_y - u.u_x * u.u_x)
+        sq *= cross
+        out += sq
     finally:
         p = markers.values()
     return out, u, p

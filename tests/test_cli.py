@@ -418,8 +418,9 @@ class TestCartan:
     def test_auto_ds_on_a_generator_norm_past_float64_is_gate_exit(
         self, capsys, tmp_path, algebra, a
     ):
-        # every entry of M is finite, but a row sum of |M| passes float64, so
-        # the bound is 0 and so is the step --auto-ds derives from it
+        # a row sum of |M| passes float64 (on su2 every entry is finite), so
+        # the bound is 0: --auto-ds keeps the configured ds, and the origin
+        # gate refuses it with its own message
         cfg = self.write_config(
             tmp_path / "c.json", algebra=algebra, s_end=1.0,
             connection={"preset": "constant", "params": {"a": a}},
@@ -427,9 +428,23 @@ class TestCartan:
         rc, out, err = run_cli(capsys, ["cartan", "--config", str(cfg), "--auto-ds"])
         assert (rc, out) == (2, "")
         assert err == (
-            "numerical gate: step size 0.0 needs inf steps to s_end=1.0, "
-            "more than an index can count\n"
+            "numerical gate: step size 0.001 >= stability bound 0.0 "
+            "(ds * ||M||_inf must stay below 1); rerun with --auto-ds or a smaller ds\n"
         )
+
+    @pytest.mark.parametrize("auto_ds", [[], ["--auto-ds"]])
+    def test_a_run_to_zero_takes_no_step_at_a_zero_bound(self, capsys, tmp_path, auto_ds):
+        # s_end = 0 takes no step, so a bound of 0 gates nothing, with or
+        # without --auto-ds (which once turned it into ds = 0 and exit 2)
+        cfg = self.write_config(
+            tmp_path / "c.json", s_end=0.0,
+            connection={"preset": "constant", "params": {"a": [1e308] * 3}},
+        )
+        rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg), *auto_ds])
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["final_lambda"] == [1.0, 0.0, 0.0]
+        assert doc["norm_drift"] == 0.0 and doc["oracle_deviation"] == 0.0
 
     def test_overflow_is_gate_exit(self, capsys, tmp_path):
         # lambda grows as e^(2s) on sl2 and leaves float64 near s = 389

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -261,15 +262,11 @@ def reference_point_values(grid, fhat, points):
 def serial_stage(grid, zhat, points):
     """The stage as one expression per step on this thread, with the marker
     sum computed inline: the reference for the stage's helper thread."""
-    kx, ky, inv_k2, mask = eu._spectral_ops(grid)
-    zhat = zhat * mask
+    kx, ky, inv_k2, _, diff, cross = eu._spectral_ops(grid)
     psi_hat = zhat * inv_k2
     uhat = (1j * ky * psi_hat, -1j * kx * psi_hat)
     u_x, u_y = np.fft.irfft2(uhat[0]), np.fft.irfft2(uhat[1])
-    zx = np.fft.irfft2(1j * kx * zhat)
-    zy = np.fft.irfft2(1j * ky * zhat)
-    out = np.fft.rfft2(-(u_x * zx + u_y * zy)) * mask
-    out[0, 0] = 0.0
+    out = np.fft.rfft2(u_x * u_y) * diff + np.fft.rfft2(u_y * u_y - u_x * u_x) * cross
     return out, u_x, u_y, reference_point_values(grid, uhat, points)
 
 
@@ -287,6 +284,28 @@ def random_state(N, P, seed):
     rng = np.random.default_rng(seed)
     zhat = np.fft.rfft2(rng.standard_normal((N, N)))
     return grid, zhat, rng.uniform(-grid.L, 2 * grid.L, size=(P, 2))
+
+
+@pytest.mark.parametrize("N, P", [(64, 0), (64, 129), (256, 0), (256, 129)])
+def test_a_stage_makes_two_irfft2_and_two_rfft2(N, P, monkeypatch):
+    # from N = OVERLAP_N up the marker sum runs on the helper thread, which
+    # must make no FFT either
+    grid, zhat, pts = random_state(N, P, 7)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for kind in ("fft", "ifft", "rfft", "irfft"):
+        for name in (kind, kind + "2", kind + "n"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    monkeypatch.setattr(eu, "_cpus", lambda: 2)
+    eu.stage(grid, zhat, pts)
+    assert calls == {"irfft2": 2, "rfft2": 2}
 
 
 class TestStageHelperThread:

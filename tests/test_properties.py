@@ -71,9 +71,10 @@ def test_stage_tendency_keeps_enstrophy_and_energy(N, seed, amp):
     """The 2/3-rule product is alias-free, so for a band-limited zeta the
     tendency T is orthogonal to zeta (enstrophy) and to psi (energy) in exact
     arithmetic. In float64 each cosine is a rounding residue: over 3600 white-
-    noise fields at N = 16-128 both stayed below 0.5 eps. With u_x and u_y
-    swapped in the product, or one of its two terms negated, the smallest
-    cosine over 200 such fields was 6e-6."""
+    noise fields at N = 16-128 both stayed below 0.6 eps. With one of the two
+    Basdevant terms negated (negating the kx ky term is swapping u_x and u_y),
+    the smallest cosine over those fields was 1.3e-6; with the two multipliers
+    swapped, 4.5e-5."""
     zeta = band_limited(N, seed, amp)
     zhat = zeta.spectrum()
     T = np.fft.irfft2(eu.stage(zeta.grid, zhat, eu.NO_POINTS)[0])
@@ -84,6 +85,27 @@ def test_stage_tendency_keeps_enstrophy_and_energy(N, seed, amp):
 
 
 EPS = np.finfo(float).eps
+
+
+@given(st.sampled_from([16, 32, 64, 128]), seeds, amplitudes)
+def test_stage_tendency_is_the_advective_form(N, seed, amp):
+    """For divergence-free u the stage's Basdevant tendency equals
+    -(u . grad) zeta, formed here from the two zeta-gradient transforms and
+    dealiased with the mean mode pinned to zero. Over 3600 white-noise fields
+    at N = 16-128 (amplitudes 1e-3-1e3) the two differed by at most 5.5 eps of
+    max|T|. With one Basdevant term negated, u_x and u_y swapped or the two
+    multipliers swapped, the smallest difference over those fields was
+    0.7 max|T|."""
+    zeta = band_limited(N, seed, amp)
+    grid, zhat = zeta.grid, zeta.spectrum()
+    kx, ky, _, mask = eu._spectral_ops(grid)[:4]
+    T, u, _ = eu.stage(grid, zhat, eu.NO_POINTS)
+    advective = u.u_x * np.fft.irfft2(1j * kx * zhat) + u.u_y * np.fft.irfft2(1j * ky * zhat)
+    want = -np.fft.rfft2(advective) * mask
+    want[0, 0] = 0.0
+    want = np.fft.irfft2(want, s=(N, N))
+    got = np.fft.irfft2(T, s=(N, N))
+    assert np.max(np.abs(got - want)) <= 8 * EPS * np.max(np.abs(want))
 
 
 def check_torus_symmetry(zeta, points, field_map, point_map, vector_map, tendency_eps, marker_eps):
@@ -190,10 +212,11 @@ def test_operator_set_is_shared_and_read_only(N, L):
     assert a is not b
     ops = eu._spectral_ops(a)
     assert ops is eu._spectral_ops(b)
-    kx, ky, inv_k2, _ = ops
+    kx, ky, inv_k2, mask, diff, cross = ops
     assert a.wavenumbers()[0] is kx and b.wavenumbers()[1] is ky
     k2 = (kx**2 + ky**2).ravel()
-    assert inv_k2[0, 0] == 0.0 and np.array_equal(inv_k2.ravel()[1:], 1.0 / k2[1:])
+    assert inv_k2[0, 0] == 0.0 and np.array_equal(inv_k2.ravel()[1:], mask.ravel()[1:] / k2[1:])
+    assert np.array_equal(diff, (kx**2 - ky**2) * mask) and np.array_equal(cross, kx * ky * mask)
     for arr in ops:
         assert not arr.flags.writeable
 
