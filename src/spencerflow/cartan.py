@@ -204,7 +204,10 @@ def _expm(M):
 
 def coadjoint_flow_exact(g, a, lam0, s):
     """Exact flow of the linear characteristic ODE with constant A.v = a, via
-    the matrix exponential of s * M (test oracle)."""
+    the matrix exponential of s * M (test oracle). At s = 0 it is lam0, with
+    no s * M formed: 0 * inf is nan for an entry of M past float64."""
+    if s == 0:
+        return DualVector(tuple(_floats(lam0)))
     return DualVector(tuple(_expm(s * rhs_generator(g, a)) @ _floats(lam0)))
 
 

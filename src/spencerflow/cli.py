@@ -158,31 +158,35 @@ def simulate(doc, snapshot_cb=None):
     """Run a vorticity-transport simulation from a config document.
 
     Returns (records, curves_final). snapshot_cb(step, t, zeta), when given,
-    is invoked at every recorded snapshot. Each vorticity state gets
-    one rfft2 and one stage evaluation, with the markers stacked into one
-    point array: they feed the state's record, its one CFL bound (read by the
-    auto dt and by rk4_step's gate), and k1 of the RK4 step that moves the
-    vorticity and the markers together. A state that leaves float64 is a
-    config error at t=0 (finite config values can still overflow it) and the
-    numerical gate after that. A finite value whose square overflows a
-    Python float (an L or a sigma near 1e300) counts as not finite.
+    is invoked at every recorded snapshot. The state is the band spectrum of
+    the vorticity, projected from the initial field once; the grid field is
+    made from it (one irfft2) only at a record. Each state gets one stage
+    evaluation, with the markers stacked into one point array: it feeds the
+    state's record, its one CFL bound (read by the auto dt and by rk4_step's
+    gate), and k1 of the RK4 step that moves the vorticity and the markers
+    together. Every stage and step of the run works in one Workspace. A state
+    that leaves float64 is a config error at t=0 (finite config values can
+    still overflow it) and the numerical gate after that. A finite value
+    whose square overflows a Python float (an L or a sigma near 1e300)
+    counts as not finite.
     """
     grid, vortices, curves, dt_conf, t_end, output_every = load_euler_config(doc)
     ends = np.cumsum([len(c.points) for c in curves])[:-1]
     points = np.concatenate([c.points for c in curves] or [euler2d.NO_POINTS])
     t, step, records = 0.0, 0, []
+    ws = euler2d.Workspace(grid)
     try:
-        zeta = euler2d.gaussian_vorticity(
+        zhat = euler2d.gaussian_vorticity(
             grid,
             [(x, y) for x, y, _, _ in vortices],
             [alpha for _, _, alpha, _ in vortices],
             [sigma for _, _, _, sigma in vortices],
-        )
+        ).spectrum()
         while True:
-            zhat = zeta.spectrum()
-            k1, u, p1 = euler2d.stage(grid, zhat, points)
+            k1, u, p1 = euler2d.stage(grid, zhat, points, ws)
             done = t >= t_end * (1 - 1e-12)
             if step % output_every == 0 or done:
+                zeta = euler2d.VorticityField.from_spectrum(grid, zhat)
                 records.append(invariants.phi_triple(zeta, u, p1, curves, t=t))
                 if snapshot_cb:
                     snapshot_cb(step, t, zeta)
@@ -192,7 +196,7 @@ def simulate(doc, snapshot_cb=None):
             dt = min(bound if dt_conf == "auto" else dt_conf, t_end - t)
             t += dt
             step += 1
-            zeta, points = euler2d.rk4_step(zeta, dt, points, (zhat, k1, p1, bound))
+            zhat, points = euler2d.rk4_step(zhat, dt, points, (k1, p1, bound), ws)
             curves = [
                 euler2d.MarkerCurve(c.label, p) for c, p in zip(curves, np.split(points, ends))
             ]

@@ -2,8 +2,12 @@
 
 Conventions (fixed once, validated by the single-mode oracle in the tests):
 zeta = d(u_y)/dx - d(u_x)/dy, u = (dpsi/dy, -dpsi/dx), zeta = -Laplacian(psi).
-Spectra live on the rfft2 half-plane. Quadratic terms are dealiased with the
-2/3 rule, and every velocity is the velocity of the dealiased vorticity.
+Quadratic terms are dealiased with the 2/3 rule, and every velocity is the
+velocity of the dealiased vorticity. The state of a run is the dealiased
+vorticity spectrum on the band columns ky <= N/3 of the rfft2 half-plane, an
+(N, N//3 + 1) complex array, the only columns the 2/3 rule leaves nonzero;
+every transform of a step touches only those columns. A run's stages and
+steps write into one Workspace, so the arrays a stage returns alias it.
 """
 
 import collections
@@ -53,20 +57,28 @@ class GridSpec:
         x = np.arange(self.N) * self.dx
         return np.meshgrid(x, x, indexing="ij")
 
+    @property
+    def band(self):
+        """The number of band columns, ky = 0 .. N//3: the ky <= N/3 the 2/3 rule keeps."""
+        return self.N // 3 + 1
+
     def wavenumbers(self):
-        return _spectral_ops(self)[:2]
+        """kx (N, 1) and ky (1, N/2+1) of the whole rfft2 half-plane."""
+        kx = 2.0 * math.pi * np.fft.fftfreq(self.N, d=self.dx)[:, None]
+        return kx, 2.0 * math.pi * np.fft.rfftfreq(self.N, d=self.dx)[None, :]
 
 
 @functools.cache
 def _spectral_ops(grid):
-    """(kx (N, 1), ky (1, N/2+1), 1/k^2, 2/3-rule dealias mask, kx^2 - ky^2,
-    kx ky) of a grid on the rfft2 half-plane, built once per distinct grid and
-    returned read-only because every caller shares them. The mask also zeroes
-    the Nyquist row and column; the last three carry it and are 0 at k = 0."""
-    kx = 2.0 * math.pi * np.fft.fftfreq(grid.N, d=grid.dx)[:, None]
-    ky = 2.0 * math.pi * np.fft.rfftfreq(grid.N, d=grid.dx)[None, :]
+    """(kx (N, 1), ky (1, band), 1/k^2, 2/3-rule dealias mask, kx^2 - ky^2,
+    kx ky) of a grid on the band columns, built once per distinct grid and
+    returned read-only because every caller shares them. The mask zeroes the
+    rows |kx| > N/3, the Nyquist row among them; the last three carry it and
+    are 0 at k = 0."""
+    kx, ky = grid.wavenumbers()
+    ky = ky[:, : grid.band]
     keep = np.abs(np.fft.fftfreq(grid.N, d=1.0 / grid.N)) <= grid.N / 3.0
-    mask = keep[:, None] & keep[None, : grid.N // 2 + 1]
+    mask = keep[:, None] & keep[None, : grid.band]
     k2 = kx**2 + ky**2
     inv_k2 = np.divide(mask, k2, out=np.zeros_like(k2), where=k2 > 0)
     ops = (kx, ky, inv_k2, mask, (kx**2 - ky**2) * mask, kx * ky * mask)
@@ -88,8 +100,17 @@ class VorticityField:
             raise NonFinite("non-finite vorticity values")
         object.__setattr__(self, "values", vals)
 
+    @staticmethod
+    def from_spectrum(grid, zhat):
+        """The grid field of a band spectrum: one irfft2."""
+        return VorticityField(grid, np.fft.irfft2(zhat, s=(grid.N, grid.N)))
+
     def spectrum(self):
-        return np.fft.rfft2(self.values)
+        """The run state of this field: its spectrum on the band columns,
+        dealiased, so zero in the rows |kx| > N/3."""
+        zhat = _band_forward(self.values, self.grid.band)
+        zhat *= _spectral_ops(self.grid)[3]
+        return zhat
 
 
 @dataclass(frozen=True)
@@ -141,23 +162,45 @@ class MarkerCurve:
         return MarkerCurve(label, pts)
 
 
-def _velocity_spectrum(grid, zhat):
-    """The one psi inversion: the (u_x, u_y) spectra of the dealiased
-    vorticity spectrum zhat. The k=0 mode of psi is zero (a constant vorticity
-    offset produces no velocity)."""
-    kx, ky, inv_k2 = _spectral_ops(grid)[:3]
-    psi_hat = zhat * inv_k2
-    return 1j * ky * psi_hat, -1j * kx * psi_hat
+class Workspace:
+    """The arrays of the stages and RK4 steps of one run on grid, allocated
+    once: the caller makes one per run and passes it to every stage and
+    rk4_step, which write their intermediates into it instead of allocating
+    them. The tendency and the grid velocity that a stage returns are arrays
+    of the workspace and hold only until the next stage given it. One
+    workspace serves one caller at a time."""
+
+    def __init__(self, grid):
+        N, band = grid.N, (grid.N, grid.band)
+        self.grid = grid
+        self.uhat = np.empty((2, *band), complex)  # u_x and u_y hat; psi hat before u_y's
+        self.u = np.empty((2, N, N))
+        self.prod = np.empty((2, N, N))  # u_x u_y, then u_y^2 and u_x^2
+        self.rows = np.empty((N, N // 2 + 1), complex)  # rfft of a product's rows
+        # rk4_step's stage input, then the ifft of a u hat's columns, then F[u_y^2 - u_x^2]
+        self.scratch = np.empty(band, complex)
+        self.out = np.empty(band, complex)  # the tendency
+        self.acc = np.empty(band, complex)  # rk4_step's k1 + 2 k2 + 2 k3 + k4
+        self.coef = np.empty((grid.band, 2, 2, grid.band), complex)  # _fold's, for (u_x, u_y)
 
 
-def _grid_velocity(grid, uhat):
-    return VelocityField(grid, np.fft.irfft2(uhat[0]), np.fft.irfft2(uhat[1]))
+def _band_forward(x, band, out=None, rows=None):
+    """rfft2(x)[:, :band] bit for bit: rfft over the rows, then fft over
+    axis 0 of the first band columns only."""
+    rows = np.fft.rfft(x, axis=1, out=rows)
+    return np.fft.fft(rows[:, :band], axis=0, out=out)
+
+
+def _band_inverse(zhat, out, cols):
+    """irfft2(zhat, s=out.shape) bit for bit, through the (N, band) array
+    cols. It is irfft2's own two steps, because numpy's irfft2 ignores out."""
+    np.fft.ifft(zhat, axis=0, out=cols)
+    return np.fft.irfft(cols, n=out.shape[1], axis=1, out=out)
 
 
 def velocity_from_vorticity(zeta):
-    """The velocity of the dealiased zeta on the grid."""
-    g = zeta.grid
-    return _grid_velocity(g, _velocity_spectrum(g, zeta.spectrum()))
+    """The velocity of the dealiased zeta on the grid: that of its stage."""
+    return stage(zeta.grid, zeta.spectrum(), NO_POINTS)[1]
 
 
 def point_values(grid, fhat, points):
@@ -169,16 +212,18 @@ def point_values(grid, fhat, points):
     return _MarkerSum(grid, fhat, points).values()
 
 
-def _fold(grid, fhat):
+def _fold(grid, fhat, coef=None):
     """The coefficients of point_values: rows (m, cos | sin), columns (field,
-    ky, Re | -Im) of the folded sum, as a (2n, 2n len(fhat)) float array."""
-    n = int(np.sum(_spectral_ops(grid)[3][0]))  # the band is |kx|, ky <= n - 1
+    ky, Re | -Im) of the folded sum, as a (2n, 2n len(fhat)) float array,
+    written through the (n, 2, len(fhat), n) complex array coef if given."""
+    n = grid.band  # the band is |kx|, ky <= n - 1
     m = np.arange(n)
     # a ky > 0 column also stands for its conjugate mirror (x2); the kx = 0 row
     # meets itself in pos + neg below, so it is halved
     w = np.where(m > 0, 2.0, 1.0)
     w = np.outer(w, w) / (2.0 * grid.N**2)
-    coef = np.empty((n, 2, len(fhat), n), dtype=complex)
+    if coef is None:
+        coef = np.empty((n, 2, len(fhat), n), dtype=complex)
     for i, f in enumerate(fhat):
         pos = np.multiply(f[:n, :n], w, out=coef[:, 0, i])
         neg = f[-m, :n] * w
@@ -209,13 +254,14 @@ class _MarkerSum:
     from both ends: in a stage the helper takes blocks from the front while
     the caller does the grid FFTs, then the caller takes the rest from the
     back. deque pops are atomic, so each block runs once. Whichever thread
-    first needs the folded coefficients computes them; the other waits."""
+    first needs the folded coefficients computes them, into the buffer buf
+    when one is given; the other waits."""
 
-    def __init__(self, grid, fhat, points):
+    def __init__(self, grid, fhat, points, buf=None):
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         if not np.all(np.isfinite(pts)):
             raise NonFinite("non-finite evaluation point")
-        self.grid, self.fhat, self.pts = grid, fhat, pts
+        self.grid, self.fhat, self.pts, self.buf = grid, fhat, pts, buf
         self.out = np.empty((len(pts), len(fhat)))
         self.starts = collections.deque(range(0, len(pts), BLOCK))
         self.coef = None
@@ -232,7 +278,7 @@ class _MarkerSum:
                 return
             with self.folding:
                 if self.coef is None:
-                    self.coef = _fold(self.grid, self.fhat)
+                    self.coef = _fold(self.grid, self.fhat, self.buf)
             self.out[s : s + BLOCK] = _block_values(self.grid, self.coef, self.pts[s : s + BLOCK])
 
     def help(self):
@@ -300,29 +346,45 @@ _new_helper()
 os.register_at_fork(after_in_child=_new_helper)  # a forked child has no helper thread
 
 
-def stage(grid, zhat, points):
-    """The RK4 stage kernel. For the vorticity spectrum zhat (rfft2
-    half-plane) and the (P, 2) marker points, from one psi inversion of the
-    dealiased field: the tendency spectrum of -(u . grad) zeta, dealiased and
-    with its mean mode zero; the velocity on the grid; the (P, 2) velocity at
-    the points. For divergence-free u the tendency is Basdevant's
+def stage(grid, zhat, points, ws=None):
+    """The RK4 stage kernel. For the vorticity band spectrum zhat and the
+    (P, 2) marker points, from one psi inversion of the dealiased field: the
+    tendency band spectrum of -(u . grad) zeta, dealiased and with its mean
+    mode zero; the velocity on the grid; the (P, 2) velocity at the points.
+    For divergence-free u the tendency is Basdevant's
     (kx^2 - ky^2) F[u_x u_y] + kx ky F[u_y^2 - u_x^2] (J. Comput. Phys. 50,
-    1983): 2 irfft2 and 2 rfft2, whose products' rounding is scaled by k^2.
+    1983): 2 inverse and 2 forward band transforms, whose products' rounding
+    is scaled by k^2. The work is done in the workspace ws, a new one if
+    None; the tendency and the grid velocity are its arrays, so they hold
+    until the next stage given ws.
     From N = OVERLAP_N up and with two CPUs or more, the helper thread takes
     blocks of the marker sum from the front while this thread does the FFTs;
     then this thread takes the blocks left, from the last one back."""
-    diff, cross = _spectral_ops(grid)[4:]
-    uhat = _velocity_spectrum(grid, zhat)
-    markers = _MarkerSum(grid, uhat, points)
+    if ws is None:
+        ws = Workspace(grid)
+    kx, ky, inv_k2, _, diff, cross = _spectral_ops(grid)
+    # the one psi inversion; the k=0 mode of psi is zero (a constant
+    # vorticity offset produces no velocity)
+    uhat = ws.uhat
+    psi_hat = np.multiply(zhat, inv_k2, out=uhat[1])
+    np.multiply(1j * ky, psi_hat, out=uhat[0])
+    np.multiply(-1j * kx, psi_hat, out=uhat[1])
+    markers = _MarkerSum(grid, uhat, points, ws.coef)
     if markers.starts and grid.N >= OVERLAP_N and _cpus() > 1:
         _helper.submit(markers.help)
     try:
-        u = _grid_velocity(grid, uhat)
-        out = np.fft.rfft2(u.u_x * u.u_y)
+        for f, values in zip(uhat, ws.u):
+            _band_inverse(f, values, ws.scratch)
+        u = VelocityField(grid, *ws.u)
+        xy, sq = ws.prod
+        np.multiply(u.u_x, u.u_y, out=xy)
+        out = _band_forward(xy, grid.band, ws.out, ws.rows)
         out *= diff
-        sq = np.fft.rfft2(u.u_y * u.u_y - u.u_x * u.u_x)
-        sq *= cross
-        out += sq
+        np.multiply(u.u_y, u.u_y, out=sq)
+        sq -= np.multiply(u.u_x, u.u_x, out=xy)
+        sq_hat = _band_forward(sq, grid.band, ws.scratch, ws.rows)
+        sq_hat *= cross
+        out += sq_hat
     finally:
         p = markers.values()
     return out, u, p
@@ -332,41 +394,56 @@ NO_POINTS = np.empty((0, 2))
 NO_POINTS.flags.writeable = False
 
 
-def rk4_step(zeta, dt, points=NO_POINTS, first=None):
+def _shifted(ws, zhat, h, k):
+    """The stage input zhat + h k, written to ws.scratch."""
+    zin = np.multiply(k, h, out=ws.scratch)
+    zin += zhat
+    return zin
+
+
+def rk4_step(zeta, dt, points=NO_POINTS, first=None, ws=None):
     """Classical 4-stage step of the vorticity transport equation and of the
     (P, 2) marker points it carries, both through the same stage velocities.
-    first is (zhat, k1, p1, bound) for zhat = zeta.spectrum(), its stage's
-    tendency k1 and marker velocity p1, and the grid velocity's cfl_dt(), when
-    the caller has them. Raises CFLViolation when dt exceeds that advective
-    bound of zeta; returns (zeta, points), the points wrapped into the domain."""
+    zeta is the band spectrum of a run, whose workspace ws is then required;
+    or a VorticityField, stepped through its spectrum (in a new workspace if
+    ws is None) and returned as a field. first is (k1, p1, bound) for k1 and
+    p1, the tendency and the marker velocity of zeta's stage, and the grid
+    velocity's cfl_dt(), when the caller has them; k1 may be ws.out.
+    Raises CFLViolation when dt exceeds that advective bound of zeta, and
+    NonFinite when the new spectrum is not finite; returns (zeta, points),
+    the points wrapped into the domain. k1 + 2 k2 + 2 k3 + k4 is summed in
+    ws.acc in that order, so the bits equal the expression's."""
     if dt == 0.0:
         return zeta, points
-    g = zeta.grid
+    field = isinstance(zeta, VorticityField)
+    if ws is None:
+        ws = Workspace(zeta.grid)
+    g = ws.grid
+    zhat = zeta.spectrum() if field else zeta
     if first is None:
-        zhat = zeta.spectrum()
-        k1, u, p1 = stage(g, zhat, points)
-        first = (zhat, k1, p1, u.cfl_dt())
-    zhat, k1, p1, bound = first
+        k1, u, p1 = stage(g, zhat, points, ws)
+        first = (k1, p1, u.cfl_dt())
+    k1, p1, bound = first
     if dt > bound:
         raise CFLViolation(f"dt={dt} exceeds the advective bound {bound}")
-    k2, _, p2 = stage(g, zhat + dt / 2 * k1, points + dt / 2 * p1)
-    k3, _, p3 = stage(g, zhat + dt / 2 * k2, points + dt / 2 * p2)
-    k4, _, p4 = stage(g, zhat + dt * k3, points + dt * p3)
-    zeta = VorticityField(g, np.fft.irfft2(_rk4_sum(zhat, dt, k1, k2, k3, k4)))
-    return zeta, np.mod(_rk4_sum(points, dt, p1, p2, p3, p4), g.L)
-
-
-def _rk4_sum(y, dt, k1, k2, k3, k4):
-    """y + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed in k2 and scaling k3 in
-    place. IEEE + and * commute, so the bits equal the expression's."""
+    acc = ws.acc
+    np.copyto(acc, k1)
+    k2, _, p2 = stage(g, _shifted(ws, zhat, dt / 2, k1), points + dt / 2 * p1, ws)
+    zin = _shifted(ws, zhat, dt / 2, k2)
     k2 *= 2
-    k2 += k1
+    acc += k2
+    k3, _, p3 = stage(g, zin, points + dt / 2 * p2, ws)
+    zin = _shifted(ws, zhat, dt, k3)
     k3 *= 2
-    k2 += k3
-    k2 += k4
-    k2 *= dt / 6
-    k2 += y
-    return k2
+    acc += k3
+    k4, _, p4 = stage(g, zin, points + dt * p3, ws)
+    acc += k4
+    acc *= dt / 6
+    zhat = acc + zhat
+    if not np.all(np.isfinite(zhat)):
+        raise NonFinite("non-finite vorticity spectrum")
+    points = np.mod(points + dt / 6 * (p1 + 2 * p2 + 2 * p3 + p4), g.L)
+    return (VorticityField.from_spectrum(g, zhat) if field else zhat), points
 
 
 def gaussian_vorticity(grid, centers, alphas, sigmas):

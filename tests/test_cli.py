@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -446,6 +447,22 @@ class TestCartan:
         assert doc["final_lambda"] == [1.0, 0.0, 0.0]
         assert doc["norm_drift"] == 0.0 and doc["oracle_deviation"] == 0.0
 
+    @pytest.mark.parametrize("auto_ds", [[], ["--auto-ds"]])
+    def test_a_run_to_zero_reads_lambda0_as_the_oracle_of_an_infinite_generator(
+        self, capsys, tmp_path, auto_ds
+    ):
+        # on sl2, a = (1e308, 0, 0) puts +-inf on the diagonal of M; the
+        # oracle at s = 0 is lambda0 itself, not exp(0 * M) with 0 * inf = nan
+        cfg = self.write_config(
+            tmp_path / "c.json", algebra="sl2", s_end=0.0, lambda0=[1.0, 2.0, 3.0],
+            connection={"preset": "constant", "params": {"a": [1e308, 0.0, 0.0]}},
+        )
+        rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg), *auto_ds])
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["final_lambda"] == [1.0, 2.0, 3.0]
+        assert doc["oracle_deviation"] == 0.0
+
     def test_overflow_is_gate_exit(self, capsys, tmp_path):
         # lambda grows as e^(2s) on sl2 and leaves float64 near s = 389
         cfg = self.write_config(
@@ -737,7 +754,8 @@ class TestExitCodeBoundary:
         "overrides, message",
         [
             ({"vortices": [HUGE_VORTEX] * 2}, "non-finite vorticity values"),
-            ({"vortices": [HUGE_VORTEX]}, "non-finite invariant record"),
+            # the state and the velocity stay finite and zeta^2 overflows in I2
+            ({"vortices": [dict(HUGE_VORTEX, alpha=1e160)]}, "non-finite invariant record"),
             ({"curves": [{"cx": 1e308, "cy": 3.0, "radius": 1e308}]}, "non-finite evaluation point"),
             # dx**2 in the first record and sigma**2 in the initial vorticity
             # raise OverflowError, not a float64 overflow
@@ -780,9 +798,9 @@ class TestExitCodeBoundary:
     ):
         rk4_step = eu.rk4_step
 
-        def overflowing(zeta, dt, points, first):
-            zeta, points = rk4_step(zeta, dt, points, first)
-            return eu.VorticityField(zeta.grid, zeta.values * 1e308 * 1e308), points
+        def overflowing(zhat, dt, points, first, ws):
+            zhat, points = rk4_step(zhat, dt, points, first, ws)
+            return zhat * 1e308 * 1e308, points
 
         monkeypatch.setattr(eu, "rk4_step", overflowing)
         cfg = TestEuler.write_config(
@@ -995,34 +1013,36 @@ def simulate_with_a_stage_per_use(doc):
     """The simulate loop in which rk4_step evaluates its own first stage and
     each record and dt evaluates the stage of its state again."""
     grid, vortices, curves, dt_conf, t_end, output_every = cli.load_euler_config(doc)
-    zeta = eu.gaussian_vorticity(
+    zhat = eu.gaussian_vorticity(
         grid,
         [(x, y) for x, y, _, _ in vortices],
         [alpha for _, _, alpha, _ in vortices],
         [sigma for _, _, _, sigma in vortices],
-    )
+    ).spectrum()
     ends = np.cumsum([len(c.points) for c in curves])[:-1]
     points = np.concatenate([c.points for c in curves])
+    ws = eu.Workspace(grid)
 
-    def record(zeta, points, t):
-        _, u, velocities = eu.stage(grid, zeta.spectrum(), points)
+    def record(zhat, points, t):
+        _, u, velocities = eu.stage(grid, zhat, points)
+        zeta = eu.VorticityField.from_spectrum(grid, zhat)
         return inv.phi_triple(zeta, u, velocities, curves, t=t)
 
     t = 0.0
-    records = [record(zeta, points, t)]
+    records = [record(zhat, points, t)]
     step = 0
     while t < t_end * (1 - 1e-12):
-        u = eu.stage(grid, zeta.spectrum(), points)[1]
+        u = eu.stage(grid, zhat, points)[1]
         dt = u.cfl_dt() if dt_conf == "auto" else dt_conf
         if not math.isfinite(dt):
             dt = t_end - t
         dt = min(dt, t_end - t)
-        zeta, points = eu.rk4_step(zeta, dt, points)
+        zhat, points = eu.rk4_step(zhat, dt, points, None, ws)
         curves = [eu.MarkerCurve(c.label, p) for c, p in zip(curves, np.split(points, ends))]
         t += dt
         step += 1
         if step % output_every == 0 or t >= t_end * (1 - 1e-12):
-            records.append(record(zeta, points, t))
+            records.append(record(zhat, points, t))
     return records, curves
 
 
@@ -1045,6 +1065,40 @@ class TestSimulateSharesOneVelocityPerState:
         steps = len(records) - 1
         assert steps >= 3
         assert calls == {"rk4_step": steps, "stage": 4 * steps + 1, "velocity_from_vorticity": 0}
+
+    def test_a_step_makes_only_its_stages_transforms(self, monkeypatch):
+        # the state stays a band spectrum between steps: a run makes the
+        # initial state's band forward transform (rfft, fft), 4 steps + 1
+        # stages of 2 band inverses (ifft, irfft) and 2 band forwards each,
+        # and per record one irfft2 for the grid field and the 2 rfft2 of
+        # div_max; no other transform. A grid state made one more rfft2 and
+        # one more irfft2 per step.
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        for kind in ("fft", "ifft", "rfft", "irfft"):
+            for name in (kind, kind + "2", kind + "n"):
+                monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        rk4_step, steps = eu.rk4_step, []
+
+        def step(*args):
+            steps.append(args[1])
+            return rk4_step(*args)
+
+        monkeypatch.setattr(eu, "rk4_step", step)
+        records, _ = cli.simulate(dict(SHARING_DOC, output_every=10**6))
+        stages, R = 4 * len(steps) + 1, len(records)
+        assert len(steps) >= 3 and R == 2
+        assert calls == {
+            "rfft": 2 * stages + 1, "fft": 2 * stages + 1, "ifft": 2 * stages,
+            "irfft": 2 * stages, "irfft2": R, "rfft2": 2 * R,
+        }
 
     @pytest.mark.parametrize("dt", ["auto", 0.05])
     def test_one_cfl_bound_per_step(self, monkeypatch, dt):

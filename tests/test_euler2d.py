@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,11 +29,11 @@ def single_mode(grid, kx, ky, amp=1.0):
 
 
 def band_limit(grid, raw):
-    return np.fft.irfft2(np.fft.rfft2(raw) * eu._spectral_ops(grid)[3])
+    return np.fft.irfft2(eu.VorticityField(grid, raw).spectrum(), s=raw.shape)
 
 
 def tendency(grid, zeta):
-    return np.fft.irfft2(eu.stage(grid, zeta.spectrum(), eu.NO_POINTS)[0])
+    return np.fft.irfft2(eu.stage(grid, zeta.spectrum(), eu.NO_POINTS)[0], s=(grid.N, grid.N))
 
 
 def marker_velocity(zeta, points):
@@ -150,10 +151,11 @@ class TestRhs:
 
     def test_dealias_mask_cuts_high_modes(self, grid):
         mask = eu._spectral_ops(grid)[3]
-        assert mask[0, 0]
+        assert mask.shape == (64, grid.band) == (64, 22)  # the band columns ky <= 21
+        assert mask[0, 0] and mask[0, 21]
         assert mask[21, 0]
         assert not mask[22, 0]
-        assert not mask[32, 32]
+        assert not mask[32, 21]  # the Nyquist row
 
     def test_closed_form_two_mode(self, grid):
         # zeta = cos(x) + cos(y): u = (-sin(y), sin(x)),
@@ -200,6 +202,12 @@ class TestTimeStepping:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(eu.NonFinite):
             eu.rk4_step(zeta, 1e-3)
         assert len(stages) == 1
+
+    def test_a_step_whose_spectrum_leaves_float64_raises(self, grid):
+        zhat = single_mode(grid, 1, 0).spectrum()
+        huge = np.full_like(zhat, 1e308)  # a first-stage tendency the sum overflows on
+        with np.errstate(all="ignore"), pytest.raises(eu.NonFinite, match="spectrum"):
+            eu.rk4_step(zhat, 1.0, eu.NO_POINTS, (huge, eu.NO_POINTS, math.inf), eu.Workspace(grid))
 
     def test_one_cfl_exception(self):
         assert eu.CFLViolation is ca.CFLViolation
@@ -265,8 +273,10 @@ def serial_stage(grid, zhat, points):
     kx, ky, inv_k2, _, diff, cross = eu._spectral_ops(grid)
     psi_hat = zhat * inv_k2
     uhat = (1j * ky * psi_hat, -1j * kx * psi_hat)
-    u_x, u_y = np.fft.irfft2(uhat[0]), np.fft.irfft2(uhat[1])
-    out = np.fft.rfft2(u_x * u_y) * diff + np.fft.rfft2(u_y * u_y - u_x * u_x) * cross
+    s, band = (grid.N, grid.N), slice(0, grid.band)
+    u_x, u_y = np.fft.irfft2(uhat[0], s=s), np.fft.irfft2(uhat[1], s=s)
+    out = np.fft.rfft2(u_x * u_y)[:, band] * diff
+    out += np.fft.rfft2(u_y * u_y - u_x * u_x)[:, band] * cross
     return out, u_x, u_y, reference_point_values(grid, uhat, points)
 
 
@@ -282,13 +292,15 @@ def same_bits(a, b):
 def random_state(N, P, seed):
     grid = eu.GridSpec(N)
     rng = np.random.default_rng(seed)
-    zhat = np.fft.rfft2(rng.standard_normal((N, N)))
+    zhat = np.fft.rfft2(rng.standard_normal((N, N)))[:, : grid.band]
     return grid, zhat, rng.uniform(-grid.L, 2 * grid.L, size=(P, 2))
 
 
 @pytest.mark.parametrize("N, P", [(64, 0), (64, 129), (256, 0), (256, 129)])
 def test_a_stage_makes_two_irfft2_and_two_rfft2(N, P, monkeypatch):
-    # from N = OVERLAP_N up the marker sum runs on the helper thread, which
+    # each on the band columns alone: an irfft2 as its ifft over axis 0 and
+    # irfft over axis 1, an rfft2 as its rfft over axis 1 and fft over axis 0.
+    # From N = OVERLAP_N up the marker sum runs on the helper thread, which
     # must make no FFT either
     grid, zhat, pts = random_state(N, P, 7)
     calls = collections.Counter()
@@ -304,8 +316,61 @@ def test_a_stage_makes_two_irfft2_and_two_rfft2(N, P, monkeypatch):
         for name in (kind, kind + "2", kind + "n"):
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     monkeypatch.setattr(eu, "_cpus", lambda: 2)
-    eu.stage(grid, zhat, pts)
-    assert calls == {"irfft2": 2, "rfft2": 2}
+    eu.stage(grid, zhat, pts, eu.Workspace(grid))
+    assert calls == {"ifft": 2, "irfft": 2, "rfft": 2, "fft": 2}
+
+
+@pytest.mark.parametrize("N", [16, 32, 64, 128, 256])
+def test_band_transforms_equal_the_half_plane_ones(N):
+    # the forward transform is rfft2's first band columns and the inverse is
+    # irfft2 of the zero-padded half-plane, bit for bit, also through the
+    # buffers of a workspace that has been written before
+    grid = eu.GridSpec(N)
+    rng = np.random.default_rng(N)
+    ws = eu.Workspace(grid)
+    for _ in range(2):
+        x = rng.standard_normal((N, N))
+        full = np.fft.rfft2(x)
+        band = eu._band_forward(x, grid.band, ws.out, ws.rows)
+        assert band is ws.out and same_bits([band], [full[:, : grid.band]])
+        padded = np.zeros_like(full)
+        padded[:, : grid.band] = band
+        want = np.fft.irfft2(padded)
+        assert same_bits([eu._band_inverse(band, ws.u[0], ws.scratch)], [want])
+        assert same_bits([eu.VorticityField.from_spectrum(grid, band).values], [want])
+
+
+def test_a_stage_returns_the_arrays_of_its_workspace():
+    grid, zhat, pts = random_state(32, 5, seed=3)
+    ws = eu.Workspace(grid)
+    T, u, _ = eu.stage(grid, zhat, pts, ws)
+    assert T is ws.out
+    assert np.shares_memory(u.u_x, ws.u) and np.shares_memory(u.u_y, ws.u)
+    kept = T.copy()
+    T_own, u_own, _ = eu.stage(grid, 2 * zhat, pts)  # a workspace of its own
+    assert not np.shares_memory(T_own, ws.out) and not np.shares_memory(u_own.u_x, ws.u)
+    assert same_bits([T], [kept])
+    eu.stage(grid, 2 * zhat, pts, ws)
+    assert same_bits([T], [T_own])  # the next stage given ws overwrote it
+
+
+def test_a_step_in_a_warm_workspace_allocates_little():
+    # one step at N = 256 with 768 markers: the new spectrum, the CFL bound's
+    # squares, the marker blocks and the small point arrays (1.06 MB); a step
+    # that allocated its stage and FFT arrays afresh peaked at 9.3 MB
+    grid = eu.GridSpec(256)
+    zhat = eu.gaussian_vorticity(grid, [(3.0, 3.0)], [1.0], [0.5]).spectrum()
+    pts = np.random.default_rng(5).uniform(0.0, grid.L, (768, 2))
+    ws = eu.Workspace(grid)
+    eu.rk4_step(zhat, 1e-3, pts, None, ws)  # every buffer written once
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        eu.rk4_step(zhat, 1e-3, pts, None, ws)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 class TestStageHelperThread:
@@ -374,20 +439,34 @@ class TestStageHelperThread:
         grid, zhat, pts = random_state(eu.OVERLAP_N, 33, seed=7)
         assert same_bits(stage_arrays(grid, zhat, pts), serial_stage(grid, zhat, pts))
 
-    def test_rk4_step_bit_identical_to_the_serial_expression(self):
-        grid, zhat, pts = random_state(32, 40, seed=9)
-        zeta = eu.VorticityField(grid, np.fft.irfft2(zhat))
-        zhat = zeta.spectrum()
+    @staticmethod
+    def serial_step(seed):
+        """A state, points, a dt and the RK4 step written as one expression."""
+        grid, zhat, pts = random_state(32, 40, seed)
+        zhat = eu.VorticityField(grid, np.fft.irfft2(zhat, s=(32, 32))).spectrum()
         # a step near the bound, so that each rounding of the sum reaches the result
-        dt = 0.9 * eu.velocity_from_vorticity(zeta).cfl_dt()
+        dt = 0.9 * eu.stage(grid, zhat, eu.NO_POINTS)[1].cfl_dt()
         k1, _, _, p1 = serial_stage(grid, zhat, pts)
         k2, _, _, p2 = serial_stage(grid, zhat + dt / 2 * k1, pts + dt / 2 * p1)
         k3, _, _, p3 = serial_stage(grid, zhat + dt / 2 * k2, pts + dt / 2 * p2)
         k4, _, _, p4 = serial_stage(grid, zhat + dt * k3, pts + dt * p3)
-        want_z = np.fft.irfft2(zhat + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+        want_z = zhat + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         want_p = np.mod(pts + dt / 6 * (p1 + 2 * p2 + 2 * p3 + p4), grid.L)
-        z, p = eu.rk4_step(zeta, dt, pts)
-        assert same_bits([z.values, p], [want_z, want_p])
+        return grid, zhat, pts, dt, [want_z, want_p]
+
+    def test_rk4_step_bit_identical_to_the_serial_expression(self):
+        grid, zhat, pts, dt, want = self.serial_step(seed=9)
+        z, p = eu.rk4_step(zhat, dt, pts, None, eu.Workspace(grid))
+        assert same_bits([z, p], want)
+
+    def test_rk4_step_from_its_workspaces_first_stage_is_bit_identical(self):
+        # k1 is the workspace's own tendency array, which the next stage overwrites
+        grid, zhat, pts, dt, want = self.serial_step(seed=10)
+        ws = eu.Workspace(grid)
+        for _ in range(2):  # a fresh workspace, then a warm one
+            k1, u, p1 = eu.stage(grid, zhat, pts, ws)
+            z, p = eu.rk4_step(zhat, dt, pts, (k1, p1, u.cfl_dt()), ws)
+            assert same_bits([z, p], want)
 
     def test_on_one_cpu_the_caller_does_all_the_work(self, monkeypatch):
         def submit(*args):
@@ -456,7 +535,7 @@ class TestStageHelperThread:
 
     def test_overflow_follows_the_callers_errstate(self):
         grid = eu.GridSpec(16)
-        zhat = np.full((16, 9), 1.7e308 + 0j)
+        zhat = np.full((16, 6), 1.7e308 + 0j)
         pts = np.random.default_rng(3).uniform(0, grid.L, size=(7, 2))
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             eu.stage(grid, zhat, pts)
@@ -708,8 +787,8 @@ class TestSpectrumReality:
     def test_conjugate_symmetry(self, grid):
         rng = np.random.default_rng(5)
         zeta = eu.VorticityField(grid, rng.standard_normal((64, 64)))
-        # the ky = 0 and Nyquist columns of the half-plane are self-conjugate
-        zhat = zeta.spectrum()[:, [0, 32]]
+        # the ky = 0 column of the band is self-conjugate
+        zhat = zeta.spectrum()[:, [0]]
         flipped = np.conj(zhat[(-np.arange(64)) % 64])
         assert np.max(np.abs(zhat - flipped)) <= 1e-9 * np.max(np.abs(zhat))
 
@@ -717,5 +796,5 @@ class TestSpectrumReality:
         rng = np.random.default_rng(6)
         zeta = eu.VorticityField(grid, rng.standard_normal((64, 64)))
         dz, u, v = eu.stage(grid, zeta.spectrum(), [(0.5, 0.7)])
-        for out in (np.fft.irfft2(dz), u.u_x, u.u_y, v):
+        for out in (np.fft.irfft2(dz, s=(64, 64)), u.u_x, u.u_y, v):
             assert out.dtype == np.float64
