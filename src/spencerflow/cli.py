@@ -161,10 +161,10 @@ def simulate(doc, snapshot_cb=None):
     is invoked at every recorded snapshot. The state is the band spectrum of
     the vorticity, projected from the initial field once; the grid field is
     made from it (one irfft2) only at a record. Each state gets one stage
-    evaluation, with the markers stacked into one point array: it feeds the
-    state's record, its one CFL bound (read by the auto dt and by rk4_step's
-    gate), and k1 of the RK4 step that moves the vorticity and the markers
-    together. Every stage and step of the run works in one Workspace. A state
+    evaluation, with the markers as one (P, 2) array, split per curve only
+    for a record and the returned curves: it feeds the state's record, its
+    one CFL bound (read by the auto dt and by rk4_step's gate), and k1 of the
+    RK4 step. Every stage and step of the run works in one Workspace. A state
     that leaves float64 is a config error at t=0 (finite config values can
     still overflow it) and the numerical gate after that. A finite value
     whose square overflows a Python float (an L or a sigma near 1e300)
@@ -172,6 +172,10 @@ def simulate(doc, snapshot_cb=None):
     """
     grid, vortices, curves, dt_conf, t_end, output_every = load_euler_config(doc)
     ends = np.cumsum([len(c.points) for c in curves])[:-1]
+
+    def split(stacked):  # a (P, 2) marker array as one (M, 2) array per curve
+        return np.split(stacked, ends)[: len(curves)]
+
     points = np.concatenate([c.points for c in curves] or [euler2d.NO_POINTS])
     t, step, records = 0.0, 0, []
     ws = euler2d.Workspace(grid)
@@ -187,19 +191,17 @@ def simulate(doc, snapshot_cb=None):
             done = t >= t_end * (1 - 1e-12)
             if step % output_every == 0 or done:
                 zeta = euler2d.VorticityField.from_spectrum(grid, zhat)
-                records.append(invariants.phi_triple(zeta, u, p1, curves, t=t))
+                records.append(invariants.phi_triple(zeta, u, split(points), split(p1), t=t))
                 if snapshot_cb:
                     snapshot_cb(step, t, zeta)
             if done:
-                return records, curves
+                final = split(points)
+                return records, [euler2d.MarkerCurve(c.label, p) for c, p in zip(curves, final)]
             bound = u.cfl_dt()
             dt = min(bound if dt_conf == "auto" else dt_conf, t_end - t)
             t += dt
             step += 1
             zhat, points = euler2d.rk4_step(zhat, dt, points, (k1, p1, bound), ws)
-            curves = [
-                euler2d.MarkerCurve(c.label, p) for c, p in zip(curves, np.split(points, ends))
-            ]
     except (NonFinite, OverflowError) as exc:
         if step == 0:
             raise ConfigError(f"the initial state of the config is not finite: {exc}") from exc
@@ -208,7 +210,7 @@ def simulate(doc, snapshot_cb=None):
 
 def write_invariant_csv(path, records, labels):
     with open(path, "w") as fh:
-        fh.write("t,I0,I2,div_max," + ",".join(f"circ_{l}" for l in labels) + "\n")
+        fh.write(",".join(["t", "I0", "I2", "div_max", *(f"circ_{l}" for l in labels)]) + "\n")
         for r in records:
             row = [r.t, r.I0, r.I2, r.div_max, *r.I1]
             fh.write(",".join(_fmt(x) for x in row) + "\n")
@@ -216,7 +218,7 @@ def write_invariant_csv(path, records, labels):
 
 def read_invariant_csv(path):
     with open(path, errors="replace") as fh:  # bytes that are not text fail the parse
-        # a run with no curves writes the header with a trailing comma
+        # no-curve files of earlier versions end the header with a comma
         header = fh.readline().strip().removesuffix(",").split(",")
         if header[:4] != ["t", "I0", "I2", "div_max"]:
             raise ConfigError(f"unexpected CSV header in {path}")
@@ -279,6 +281,17 @@ def cmd_euler(args):
 # ---------------------------------------------------------------- cartan
 
 
+def _not_skew(g):
+    """The first (a, b, c) with C^c_ba != -C^a_bc, read from g.ad; None when
+    every ad_{e_b} is skew, the one case in which the flow keeps |lambda|."""
+    for b, ad_b in enumerate(g.ad):
+        entries = {(c, a): v for a, ad_ba in enumerate(ad_b) for c, v in ad_ba}
+        for (c, a), v in entries.items():
+            if entries.get((a, c), 0) != -v:
+                return a, b, c
+    return None
+
+
 def load_cartan_config(doc):
     _validate(
         doc,
@@ -324,6 +337,14 @@ def load_cartan_config(doc):
     renormalize = doc.get("renormalize", False)
     if not isinstance(renormalize, bool):
         raise ConfigError(f"renormalize must be true or false, not {renormalize!r}")
+    if renormalize and (abc := _not_skew(g)):
+        (a, b, c), C, e = abc, g.structure_constants, g.basis_labels
+        raise ConfigError(
+            f"renormalize rescales lambda to |lambda0|, which the flow keeps only when every "
+            f"ad(e_b) is skew, and ad({e[b]}) of {doc['algebra']} is not: the {e[c]} component "
+            f"of [{e[b]}, {e[a]}] is {C[b][a][c]}, so that of {e[a]} in [{e[b]}, {e[c]}] "
+            f"would be {-C[b][a][c]}, not {C[b][c][a]}"
+        )
     return g, A, lam0, v, ds, s_end, scheme, renormalize
 
 
@@ -440,6 +461,8 @@ def cmd_lie(args):
         except ValueError:
             raise ConfigError(f"base must be comma-separated integers, not {args.base!r}") from None
         factor = {"sym": spencer.sym_dimension_factor, "whitehead": spencer.whitehead_factor}
+        if any(b < 0 for b in base):
+            raise ConfigError(f"base Betti numbers must be non-negative, not {args.base!r}")
         # spencer_betti reads f[0 .. len(base) - 1]
         betti = spencer.spencer_betti(base, factor[args.factor](g, max_p=len(base) - 1))
         payload = {

@@ -12,7 +12,6 @@ steps write into one Workspace, so the arrays a stage returns alias it.
 
 import collections
 import contextvars
-import functools
 import json
 import math
 import os
@@ -62,29 +61,15 @@ class GridSpec:
         """The number of band columns, ky = 0 .. N//3: the ky <= N/3 the 2/3 rule keeps."""
         return self.N // 3 + 1
 
+    @property
+    def kept_rows(self):
+        """(N, 1) bool of |kx| <= N/3: all of the 2/3 rule's cut on the band columns."""
+        return np.abs(np.fft.fftfreq(self.N, d=1.0 / self.N))[:, None] <= self.N / 3.0
+
     def wavenumbers(self):
         """kx (N, 1) and ky (1, N/2+1) of the whole rfft2 half-plane."""
         kx = 2.0 * math.pi * np.fft.fftfreq(self.N, d=self.dx)[:, None]
         return kx, 2.0 * math.pi * np.fft.rfftfreq(self.N, d=self.dx)[None, :]
-
-
-@functools.cache
-def _spectral_ops(grid):
-    """(kx (N, 1), ky (1, band), 1/k^2, 2/3-rule dealias mask, kx^2 - ky^2,
-    kx ky) of a grid on the band columns, built once per distinct grid and
-    returned read-only because every caller shares them. The mask zeroes the
-    rows |kx| > N/3, the Nyquist row among them; the last three carry it and
-    are 0 at k = 0."""
-    kx, ky = grid.wavenumbers()
-    ky = ky[:, : grid.band]
-    keep = np.abs(np.fft.fftfreq(grid.N, d=1.0 / grid.N)) <= grid.N / 3.0
-    mask = keep[:, None] & keep[None, : grid.band]
-    k2 = kx**2 + ky**2
-    inv_k2 = np.divide(mask, k2, out=np.zeros_like(k2), where=k2 > 0)
-    ops = (kx, ky, inv_k2, mask, (kx**2 - ky**2) * mask, kx * ky * mask)
-    for arr in ops:
-        arr.flags.writeable = False
-    return ops
 
 
 @dataclass(frozen=True)
@@ -109,7 +94,7 @@ class VorticityField:
         """The run state of this field: its spectrum on the band columns,
         dealiased, so zero in the rows |kx| > N/3."""
         zhat = _band_forward(self.values, self.grid.band)
-        zhat *= _spectral_ops(self.grid)[3]
+        zhat *= self.grid.kept_rows
         return zhat
 
 
@@ -163,16 +148,26 @@ class MarkerCurve:
 
 
 class Workspace:
-    """The arrays of the stages and RK4 steps of one run on grid, allocated
-    once: the caller makes one per run and passes it to every stage and
-    rk4_step, which write their intermediates into it instead of allocating
-    them. The tendency and the grid velocity that a stage returns are arrays
-    of the workspace and hold only until the next stage given it. One
-    workspace serves one caller at a time."""
+    """The spectral operators and the arrays of the stages and RK4 steps of
+    one run on grid, made once: the caller makes one per run and passes it to
+    every stage and rk4_step, which write their intermediates into it instead
+    of allocating them. The tendency and the grid velocity that a stage
+    returns are arrays of the workspace and hold only until the next stage
+    given it. One workspace serves one caller at a time."""
 
     def __init__(self, grid):
         N, band = grid.N, (grid.N, grid.band)
         self.grid = grid
+        # i ky, -i kx, 1/k^2, kx^2 - ky^2 and kx ky on the band, each 0 at k = 0.
+        # All but i ky are 0 on the rows the 2/3 rule cuts, the Nyquist row
+        # among them; i ky is the (1, band) row, as it multiplies psi hat,
+        # which 1/k^2 zeroes there (an (N, band) copy cost 0.35 MB at N = 256)
+        kx, ky = grid.wavenumbers()
+        ky, keep = ky[:, : grid.band], grid.kept_rows
+        self.iky, self.minus_ikx = 1j * ky, np.where(keep, -1j * kx, 0)
+        k2 = kx**2 + ky**2
+        self.inv_k2 = np.divide(keep, k2, out=np.zeros_like(k2), where=k2 > 0)
+        self.diff, self.cross = (kx**2 - ky**2) * keep, kx * ky * keep
         self.uhat = np.empty((2, *band), complex)  # u_x and u_y hat; psi hat before u_y's
         self.u = np.empty((2, N, N))
         self.prod = np.empty((2, N, N))  # u_x u_y, then u_y^2 and u_x^2
@@ -362,13 +357,12 @@ def stage(grid, zhat, points, ws=None):
     then this thread takes the blocks left, from the last one back."""
     if ws is None:
         ws = Workspace(grid)
-    kx, ky, inv_k2, _, diff, cross = _spectral_ops(grid)
     # the one psi inversion; the k=0 mode of psi is zero (a constant
     # vorticity offset produces no velocity)
     uhat = ws.uhat
-    psi_hat = np.multiply(zhat, inv_k2, out=uhat[1])
-    np.multiply(1j * ky, psi_hat, out=uhat[0])
-    np.multiply(-1j * kx, psi_hat, out=uhat[1])
+    psi_hat = np.multiply(zhat, ws.inv_k2, out=uhat[1])
+    np.multiply(ws.iky, psi_hat, out=uhat[0])
+    np.multiply(ws.minus_ikx, psi_hat, out=uhat[1])
     markers = _MarkerSum(grid, uhat, points, ws.coef)
     if markers.starts and grid.N >= OVERLAP_N and _cpus() > 1:
         _helper.submit(markers.help)
@@ -379,11 +373,11 @@ def stage(grid, zhat, points, ws=None):
         xy, sq = ws.prod
         np.multiply(u.u_x, u.u_y, out=xy)
         out = _band_forward(xy, grid.band, ws.out, ws.rows)
-        out *= diff
+        out *= ws.diff
         np.multiply(u.u_y, u.u_y, out=sq)
         sq -= np.multiply(u.u_x, u.u_x, out=xy)
         sq_hat = _band_forward(sq, grid.band, ws.scratch, ws.rows)
-        sq_hat *= cross
+        sq_hat *= ws.cross
         out += sq_hat
     finally:
         p = markers.values()

@@ -61,18 +61,14 @@ def divergence_residual(u):
     return float(np.max(np.abs(ux_hat))) / scale
 
 
-def phi_triple(zeta, u, velocities, curves, t=0.0):
+def phi_triple(zeta, u, points, velocities, t=0.0):
     """The (I0, I1 per curve, I2, div_max) bundle at one snapshot; u is the
-    grid velocity of zeta and velocities its (P, 2) values at the points of
-    curves, stacked in curve order."""
-    ends = np.cumsum([len(c.points) for c in curves])[:-1]
+    grid velocity of zeta, points the (M, 2) points of each curve and
+    velocities the (M, 2) values of u at them."""
     return InvariantRecord(
         t=t,
         I0=total_vorticity(zeta),
-        I1=tuple(
-            circulation(c.points, v, zeta.grid.L)
-            for c, v in zip(curves, np.split(velocities, ends))
-        ),
+        I1=tuple(circulation(p, v, zeta.grid.L) for p, v in zip(points, velocities)),
         I2=enstrophy(zeta),
         div_max=divergence_residual(u),
     )

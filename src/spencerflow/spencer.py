@@ -259,6 +259,8 @@ def spencer_betti(base_betti, factor):
     the factor tuple f reads 0 past its end."""
     if not base_betti:
         raise ValueError("base Betti numbers must be non-empty")
+    if any(b < 0 for b in base_betti):
+        raise ValueError(f"base Betti numbers must be non-negative, not {list(base_betti)}")
     f = list(factor) + [0] * len(base_betti)
     return [
         sum(base_betti[q] * f[k - q] for q in range(k + 1))

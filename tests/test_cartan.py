@@ -560,6 +560,19 @@ def test_step_products_that_pass_float64_leave_lambda_finite(scheme, lam, renorm
     assert_matches_reference(ca.integrate(*args), reference_loop(*args))
 
 
+@pytest.mark.parametrize("scheme", ca.SCHEMES)
+def test_the_gate_judges_a_renormalized_run_on_a_decaying_axis(scheme):
+    # the library run of the CLI's 11-dimensional decaying-axis config, which
+    # the CLI refuses under renormalize because ad(x_i) is not skew:
+    # ds ||M||_inf = 9.9, so the first step is refused before any rescale
+    g, a = axis_algebra(10), la.LieVector((9.9,) * 10 + (0.0,))
+    lam0 = la.DualVector((1.0,) + (0.0,) * 9 + (1.0,))
+    with pytest.raises(ca.CFLViolation, match=(
+        r"^step size 0\.1 >= stability bound 0\.0101010101010101 \(ds \* \|\|M\|\|_inf"
+    )):
+        ca.integrate(g, lam0, ca.ConnectionSampler.constant(a), (1.0,), 0.1, 30.0, scheme, True)
+
+
 decaying_axis_runs = st.integers(1, 10).flatmap(lambda k: st.tuples(
     st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k).filter(lambda a: sum(a) >= 0.1),
     st.lists(st.floats(-1.0, 1.0), min_size=k + 1, max_size=k + 1),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spencerflow import cartan, cli
+from spencerflow import cartan, cli, liealg
 from spencerflow import euler2d as eu
 from spencerflow import invariants as inv
 
@@ -79,6 +79,11 @@ class TestLie:
         )
         assert rc == 0
         assert out == "1,2,2\n"
+
+    def test_betti_negative_base_is_config_error(self, capsys):
+        rc, out, err = run_cli(capsys, ["lie", "betti", "--algebra", "su2", "--base=-1,2,-3"])
+        assert (rc, out) == (1, "")
+        assert err == "config error: base Betti numbers must be non-negative, not '-1,2,-3'\n"
 
     def test_delta_curvature_su2(self, capsys):
         # Omega = e3 acts on e1 by [e3, e1] = e2
@@ -346,6 +351,35 @@ class TestCartan:
         assert math.isfinite(doc["norm_drift"])
         assert doc["norm_drift"] <= 4 * np.finfo(float).eps * 1e200
 
+    @pytest.mark.parametrize("scheme", ["euler_paper", "rk4"])
+    def test_renormalize_on_a_basis_with_a_non_skew_ad_is_config_error(
+        self, capsys, tmp_path, scheme
+    ):
+        # on sl2 the flow does not keep |lambda|, so rescaling to |lambda0|
+        # gave norm drift 0 and an oracle deviation of 0.539
+        cfg = self.write_config(
+            tmp_path / "c.json", algebra="sl2", lambda0=[1.0, 2.0, -0.5], scheme=scheme,
+            connection={"preset": "constant", "params": {"a": [0.3, -0.5, 0.8]}},
+            renormalize=True,
+        )
+        rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg)])
+        assert (rc, out) == (1, "")
+        assert err == (
+            "config error: renormalize rescales lambda to |lambda0|, which the flow keeps only "
+            "when every ad(e_b) is skew, and ad(h) of sl2 is not: the e component of [h, e] "
+            "is 2, so that of e in [h, e] would be -2, not 2\n"
+        )
+
+    def test_the_skew_check_reads_every_ad(self):
+        # su2 is skew in its basis; in the basis 2 e1, e2, e3 it is not:
+        # [e2, 2 e1] = -2 e3 while [e2, e3] = (2 e1) / 2, so ad(e2) is not skew
+        assert cli._not_skew(liealg.preset("su2")) is None
+        scaled = liealg.from_json({"dim": 3, "labels": ["f1", "f2", "f3"], "constants": [
+            [0, 1, 2, 2, 1], [1, 2, 0, 1, 2], [2, 0, 1, 2, 1]]})
+        assert liealg.jacobi_residual(scaled) == 0
+        assert cli._not_skew(scaled) == (0, 1, 2)
+        assert cli._not_skew(liealg.preset("abelian2")) is None
+
     def write_decaying_axis_config(self, tmp_path, **overrides):
         """[x_i, y] = y for i = 1..10 and A.v = 9.9 sum x_i, so M_yy = -99 and
         y decays as e^(-99 s). At ds = 0.1, ds times the largest term
@@ -368,11 +402,16 @@ class TestCartan:
         self, capsys, tmp_path, scheme, lambda0, renormalize
     ):
         # the step gate reads ||M||_inf, so the steps whose 256-step products
-        # passed float64 no longer run, with or without renormalize
+        # passed float64 no longer run; ad(x_i) is not skew, so renormalize is
+        # refused before any step (test_cartan.py gates the renormalized run)
         cfg = self.write_decaying_axis_config(
             tmp_path, lambda0=lambda0, scheme=scheme, renormalize=renormalize
         )
         rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg)])
+        if renormalize:
+            assert (rc, out) == (1, "")
+            assert err.startswith("config error: renormalize rescales lambda to |lambda0|")
+            return
         assert (rc, out) == (2, "")
         assert err == (
             "numerical gate: step size 0.1 >= stability bound 0.0101010101010101 "
@@ -1026,7 +1065,7 @@ def simulate_with_a_stage_per_use(doc):
     def record(zhat, points, t):
         _, u, velocities = eu.stage(grid, zhat, points)
         zeta = eu.VorticityField.from_spectrum(grid, zhat)
-        return inv.phi_triple(zeta, u, velocities, curves, t=t)
+        return inv.phi_triple(zeta, u, np.split(points, ends), np.split(velocities, ends), t=t)
 
     t = 0.0
     records = [record(zhat, points, t)]
@@ -1099,6 +1138,22 @@ class TestSimulateSharesOneVelocityPerState:
             "rfft": 2 * stages + 1, "fft": 2 * stages + 1, "ifft": 2 * stages,
             "irfft": 2 * stages, "irfft2": R, "rfft2": 2 * R,
         }
+
+    def test_the_step_loop_makes_no_marker_curve(self, monkeypatch):
+        # the markers stay one (P, 2) array: curves are made from the config
+        # and for the return value only, however many steps and records
+        made = []
+
+        class Counted(eu.MarkerCurve):
+            def __post_init__(self):
+                made.append(self.label)
+                super().__post_init__()
+
+        monkeypatch.setattr(eu, "MarkerCurve", Counted)
+        records, curves = cli.simulate(dict(SHARING_DOC, output_every=1))
+        assert len(records) >= 4
+        assert made == ["v0", "v1"] * 2
+        assert [(c.label, c.points.shape) for c in curves] == [("v0", (32, 2)), ("v1", (16, 2))]
 
     @pytest.mark.parametrize("dt", ["auto", 0.05])
     def test_one_cfl_bound_per_step(self, monkeypatch, dt):
@@ -1237,6 +1292,16 @@ class TestReport:
         assert (rc, err) == (0, "")
         assert out == run_out
         assert set(json.loads(out)) == {"I0", "I2"}
+        lines = (outdir / "invariants.csv").read_text().splitlines()
+        assert lines[0] == "t,I0,I2,div_max"  # no empty fifth field
+        assert {line.count(",") for line in lines} == {3}
+
+    def test_a_no_curve_header_with_a_trailing_comma_still_reads(self, capsys, tmp_path):
+        path = tmp_path / "inv.csv"
+        path.write_text("t,I0,I2,div_max,\n0,1,2,0\n1,1,2,0\n")
+        rc, out, err = run_cli(capsys, ["--json", "report", "--csv", str(path)])
+        assert (rc, err) == (0, "")
+        assert json.loads(out) == {"I0": "0", "I2": "0"}
 
     def test_truncated_csv_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "inv.csv"

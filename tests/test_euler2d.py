@@ -150,12 +150,14 @@ class TestRhs:
         assert abs(np.mean(out)) <= 1e-14
 
     def test_dealias_mask_cuts_high_modes(self, grid):
-        mask = eu._spectral_ops(grid)[3]
-        assert mask.shape == (64, grid.band) == (64, 22)  # the band columns ky <= 21
-        assert mask[0, 0] and mask[0, 21]
-        assert mask[21, 0]
-        assert not mask[22, 0]
-        assert not mask[32, 21]  # the Nyquist row
+        keep = grid.kept_rows
+        assert keep.shape == (64, 1) and grid.band == 22  # the band columns ky <= 21
+        assert keep[0, 0] and keep[21, 0] and keep[-21, 0]
+        assert not keep[22, 0] and not keep[-22, 0]
+        assert not keep[32, 0]  # the Nyquist row
+        rng = np.random.default_rng(5)
+        zhat = eu.VorticityField(grid, rng.standard_normal((64, 64))).spectrum()
+        assert zhat.shape == (64, 22) and not np.any(zhat[22:-21]) and np.all(zhat[:22, 1:])
 
     def test_closed_form_two_mode(self, grid):
         # zeta = cos(x) + cos(y): u = (-sin(y), sin(x)),
@@ -245,7 +247,7 @@ def reference_point_values(grid, fhat, points):
     """The folded direct sum of point_values, written out in one loop over
     blocks of BLOCK points on this thread."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    n = int(np.sum(eu._spectral_ops(grid)[3][0]))
+    n = grid.band
     m = np.arange(n)
     w = np.where(m > 0, 2.0, 1.0)
     w = np.outer(w, w)[:, None] / (2.0 * grid.N**2)
@@ -270,7 +272,12 @@ def reference_point_values(grid, fhat, points):
 def serial_stage(grid, zhat, points):
     """The stage as one expression per step on this thread, with the marker
     sum computed inline: the reference for the stage's helper thread."""
-    kx, ky, inv_k2, _, diff, cross = eu._spectral_ops(grid)
+    kx, ky = grid.wavenumbers()
+    ky = ky[:, : grid.band]
+    mask = np.abs(kx) < 2.0 * math.pi / grid.L * grid.band  # the rows |kx| <= N/3
+    k2 = kx**2 + ky**2
+    inv_k2 = np.divide(mask, k2, out=np.zeros_like(k2), where=k2 > 0)
+    diff, cross = (kx**2 - ky**2) * mask, kx * ky * mask
     psi_hat = zhat * inv_k2
     uhat = (1j * ky * psi_hat, -1j * kx * psi_hat)
     s, band = (grid.N, grid.N), slice(0, grid.band)

@@ -106,7 +106,7 @@ class TestPhiTriple:
         zeta = eu.VorticityField(grid, np.zeros((128, 128)))
         c = eu.MarkerCurve.circle("c", 2.0, 2.0, 1.0, M=32)
         _, u, v = eu.stage(grid, zeta.spectrum(), c.points)
-        rec = inv.phi_triple(zeta, u, v, [c], t=1.5)
+        rec = inv.phi_triple(zeta, u, [c.points], [v], t=1.5)
         assert rec.t == 1.5
         assert rec.I0 == 0.0
         assert rec.I1 == (0.0,)
@@ -117,7 +117,7 @@ class TestPhiTriple:
         X, _ = grid.coords()
         zeta = eu.VorticityField(grid, np.cos(X))
         _, u, v = eu.stage(grid, zeta.spectrum(), eu.NO_POINTS)
-        rec = inv.phi_triple(zeta, u, v, [])
+        rec = inv.phi_triple(zeta, u, [], [])
         assert rec.I0 == pytest.approx(0.0, abs=1e-12)
         assert rec.I2 == pytest.approx(2 * math.pi**2, rel=1e-12)
 

@@ -77,7 +77,7 @@ def test_stage_tendency_keeps_enstrophy_and_energy(N, seed, amp):
     zeta = band_limited(N, seed, amp)
     zhat = zeta.spectrum()
     T = np.fft.irfft2(eu.stage(zeta.grid, zhat, eu.NO_POINTS)[0], s=(N, N))
-    psi = np.fft.irfft2(zhat * eu._spectral_ops(zeta.grid)[2], s=(N, N))
+    psi = np.fft.irfft2(zhat * eu.Workspace(zeta.grid).inv_k2, s=(N, N))
     for f in (zeta.values, psi):
         cosine = abs(np.sum(f * T)) / (np.linalg.norm(f) * np.linalg.norm(T))
         assert cosine <= 4 * np.finfo(float).eps
@@ -97,7 +97,8 @@ def test_stage_tendency_is_the_advective_form(N, seed, amp):
     0.7 max|T|."""
     zeta = band_limited(N, seed, amp)
     grid, zhat = zeta.grid, zeta.spectrum()
-    kx, ky, _, mask = eu._spectral_ops(grid)[:4]
+    kx, ky = grid.wavenumbers()
+    ky, mask = ky[:, : grid.band], grid.kept_rows
     T, u, _ = eu.stage(grid, zhat, eu.NO_POINTS)
     s = (N, N)
     advective = (u.u_x * np.fft.irfft2(1j * kx * zhat, s=s)
@@ -208,19 +209,24 @@ def test_max_speed_has_the_bits_of_the_hypot_max(N, seed, scale, ties):
 
 
 @given(sizes, lengths)
-def test_operator_set_is_shared_and_read_only(N, L):
-    a, b = eu.GridSpec(N, L), eu.GridSpec(N, L)
-    assert a is not b
-    ops = eu._spectral_ops(a)
-    assert ops is eu._spectral_ops(b)
-    kx, ky, inv_k2, mask, diff, cross = ops
-    assert np.array_equal(a.wavenumbers()[0], kx)
-    assert np.array_equal(b.wavenumbers()[1][:, : a.band], ky) and ky.shape == (1, a.band)
-    k2 = (kx**2 + ky**2).ravel()
-    assert inv_k2[0, 0] == 0.0 and np.array_equal(inv_k2.ravel()[1:], mask.ravel()[1:] / k2[1:])
-    assert np.array_equal(diff, (kx**2 - ky**2) * mask) and np.array_equal(cross, kx * ky * mask)
-    for arr in ops:
-        assert not arr.flags.writeable
+def test_workspace_operators_are_the_band_wavenumbers(N, L):
+    """Each operator of a Workspace equals its half-plane wavenumber
+    expression on the kept band modes and is 0 at k = 0 and, but for the
+    (1, band) row i ky, on the rows |kx| > N/3."""
+    grid = eu.GridSpec(N, L)
+    ws = eu.Workspace(grid)
+    kx, ky = grid.wavenumbers()
+    ky = ky[:, : grid.band]
+    k2 = kx**2 + ky**2
+    k2[0, 0] = 1.0  # 1/k^2 is compared away from k = 0
+    cut = np.abs(np.fft.fftfreq(N, 1.0 / N)) > N // 3
+    wants = {"iky": 1j * ky, "minus_ikx": -1j * kx, "inv_k2": 1.0 / k2,
+             "diff": kx**2 - ky**2, "cross": kx * ky}
+    assert ws.iky.shape == (1, grid.band) and np.array_equal(ws.iky, wants.pop("iky"))
+    for name, want in wants.items():
+        got, want = (np.broadcast_to(a, (N, grid.band)) for a in (getattr(ws, name), want))
+        assert got[0, 0] == 0 and not np.any(got[cut]), name
+        assert np.array_equal(got[~cut].ravel()[1:], want[~cut].ravel()[1:]), name
 
 
 def band_spectra(grid, rng, count):

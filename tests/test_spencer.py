@@ -360,3 +360,8 @@ class TestBetti:
     def test_empty_base_rejected(self):
         with pytest.raises(ValueError):
             sp.spencer_betti([], ())
+
+    def test_negative_base_rejected(self):
+        # a Betti number counts dimensions; [-1, 2, -3] would give [-1, -1, -3] on su2
+        with pytest.raises(ValueError, match="non-negative"):
+            sp.spencer_betti([-1, 2, -3], (1, 3, 6))
