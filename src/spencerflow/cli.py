@@ -158,17 +158,20 @@ def simulate(doc, snapshot_cb=None):
     """Run a vorticity-transport simulation from a config document.
 
     Returns (records, curves_final). snapshot_cb(step, t, zeta), when given,
-    is invoked at every recorded snapshot. The state is the band spectrum of
-    the vorticity, projected from the initial field once; the grid field is
-    made from it (one irfft2) only at a record. Each state gets one stage
-    evaluation, with the markers as one (P, 2) array, split per curve only
-    for a record and the returned curves: it feeds the state's record, its
-    one CFL bound (read by the auto dt and by rk4_step's gate), and k1 of the
-    RK4 step. Every stage and step of the run works in one Workspace. A state
-    that leaves float64 is a config error at t=0 (finite config values can
-    still overflow it) and the numerical gate after that. A finite value
-    whose square overflows a Python float (an L or a sigma near 1e300)
-    counts as not finite.
+    is invoked at every recorded snapshot; zeta is an array of the run's
+    workspace and holds until the callback returns. The state is the band
+    spectrum of the vorticity, projected from the initial field once; the
+    grid field is made from it (one band inverse) only at a record. Each
+    state gets one stage evaluation, with the markers as one (P, 2) array,
+    split per curve only for a record and the returned curves: it feeds the
+    state's record, its one CFL bound (read by the auto dt and by rk4_step's
+    gate), and k1 of the RK4 step. Every stage, record, CFL bound and step of
+    the run works in one Workspace. A step size that needs more steps to
+    t_end than an index can count is the numerical gate. A state that leaves
+    float64 is a config error at t=0 (finite config values can still
+    overflow it) and the numerical gate after that. A finite value whose
+    square overflows a Python float (an L or a sigma near 1e300) counts as
+    not finite.
     """
     grid, vortices, curves, dt_conf, t_end, output_every = load_euler_config(doc)
     ends = np.cumsum([len(c.points) for c in curves])[:-1]
@@ -190,15 +193,23 @@ def simulate(doc, snapshot_cb=None):
             k1, u, p1 = euler2d.stage(grid, zhat, points, ws)
             done = t >= t_end * (1 - 1e-12)
             if step % output_every == 0 or done:
-                zeta = euler2d.VorticityField.from_spectrum(grid, zhat)
-                records.append(invariants.phi_triple(zeta, u, split(points), split(p1), t=t))
+                zeta = euler2d.VorticityField.from_spectrum(grid, zhat, ws)
+                records.append(
+                    invariants.phi_triple(zeta, u, split(points), split(p1), t=t, ws=ws)
+                )
                 if snapshot_cb:
                     snapshot_cb(step, t, zeta)
             if done:
                 final = split(points)
                 return records, [euler2d.MarkerCurve(c.label, p) for c, p in zip(curves, final)]
-            bound = u.cfl_dt()
+            bound = u.cfl_dt(ws)
             dt = min(bound if dt_conf == "auto" else dt_conf, t_end - t)
+            steps = (t_end - t) / dt if dt > 0 else math.inf
+            if not steps < sys.maxsize:  # the step count could not be indexed
+                raise CFLViolation(
+                    f"step size {dt} needs {steps:g} steps to t_end={t_end}, "
+                    "more than an index can count"
+                )
             t += dt
             step += 1
             zhat, points = euler2d.rk4_step(zhat, dt, points, (k1, p1, bound), ws)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import CFLViolation, NonFinite
 
-# marker points per block of the direct Fourier sum in point_values. In a stage
+# marker points per block of the direct Fourier sum of _MarkerSum. In a stage
 # the helper thread and the caller each take a block at a time beside the grid
 # FFTs, so the block arrays add to the grid part's: at N = 256 a block's phases
 # and matmul product take 0.18 MB each next to the 0.5 MB coefficient matrix
@@ -86,9 +86,13 @@ class VorticityField:
         object.__setattr__(self, "values", vals)
 
     @staticmethod
-    def from_spectrum(grid, zhat):
-        """The grid field of a band spectrum: one irfft2."""
-        return VorticityField(grid, np.fft.irfft2(zhat, s=(grid.N, grid.N)))
+    def from_spectrum(grid, zhat, ws=None):
+        """The grid field of a band spectrum: one irfft2. With a workspace ws
+        it is written to ws.prod[0] through ws.scratch, the same bits, and
+        holds until ws's next stage or CFL bound."""
+        if ws is None:
+            return VorticityField(grid, np.fft.irfft2(zhat, s=(grid.N, grid.N)))
+        return VorticityField(grid, _band_inverse(zhat, ws.prod[0], ws.scratch))
 
     def spectrum(self):
         """The run state of this field: its spectrum on the band columns,
@@ -108,20 +112,23 @@ class VelocityField:
         object.__setattr__(self, "u_x", np.asarray(self.u_x, dtype=np.float64))
         object.__setattr__(self, "u_y", np.asarray(self.u_y, dtype=np.float64))
 
-    def max_speed(self):
+    def max_speed(self, ws=None):
         """max(hypot(u_x, u_y)) bit for bit: hypot runs where u_x² + u_y² is within 1e-12
-        of its max (far above either's rounding), everywhere if that max is 0, tiny or inf."""
+        of its max (far above either's rounding), everywhere if that max is 0, tiny or inf.
+        With a workspace ws, u_x² and u_y² are written to the planes of ws.prod."""
+        sq = (None, None) if ws is None else ws.prod
         with np.errstate(over="ignore"):
-            s = self.u_x * self.u_x
-            s += self.u_y * self.u_y
+            s = np.multiply(self.u_x, self.u_x, out=sq[0])
+            s += np.multiply(self.u_y, self.u_y, out=sq[1])
         m = s.max()
         near = s >= m * (1 - 1e-12) if 1e-290 < m < math.inf else ...
         return float(np.max(np.hypot(self.u_x[near], self.u_y[near])))
 
-    def cfl_dt(self):
+    def cfl_dt(self, ws=None):
         """Advective step bound dt <= 0.5 * dx / max|u|; +inf for a still field.
-        Raises NonFinite when max|u| is not finite, which no dt can pass."""
-        vmax = self.max_speed()
+        Raises NonFinite when max|u| is not finite, which no dt can pass.
+        max_speed works in ws.prod when a workspace ws is given."""
+        vmax = self.max_speed(ws)
         if not math.isfinite(vmax):
             raise NonFinite("non-finite velocity")
         return math.inf if vmax == 0.0 else 0.5 * self.grid.dx / vmax
@@ -153,7 +160,10 @@ class Workspace:
     every stage and rk4_step, which write their intermediates into it instead
     of allocating them. The tendency and the grid velocity that a stage
     returns are arrays of the workspace and hold only until the next stage
-    given it. One workspace serves one caller at a time."""
+    given it. They are the only arrays live between two stages, so a record
+    (from_spectrum, invariants.phi_triple) and a CFL bound given the
+    workspace write into prod, scratch, rows, uhat and coef instead of
+    allocating. One workspace serves one caller at a time."""
 
     def __init__(self, grid):
         N, band = grid.N, (grid.N, grid.band)
@@ -198,17 +208,8 @@ def velocity_from_vorticity(zeta):
     return stage(zeta.grid, zeta.spectrum(), NO_POINTS)[1]
 
 
-def point_values(grid, fhat, points):
-    """Values at the (P, 2) points of the real fields whose rfft2 spectra are
-    listed in fhat, as a (P, len(fhat)) array: the direct Fourier sum over the
-    2/3 band, exact up to rounding for fields inside it, in O(P N^2) work. With
-    each kx = m row folded with its -m mirror into cos(m x) and sin(m x) rows, a
-    block of points costs one real matmul and one batched product over ky."""
-    return _MarkerSum(grid, fhat, points).values()
-
-
 def _fold(grid, fhat, coef=None):
-    """The coefficients of point_values: rows (m, cos | sin), columns (field,
+    """The coefficients of _MarkerSum: rows (m, cos | sin), columns (field,
     ky, Re | -Im) of the folded sum, as a (2n, 2n len(fhat)) float array,
     written through the (n, 2, len(fhat), n) complex array coef if given."""
     n = grid.band  # the band is |kx|, ky <= n - 1
@@ -229,7 +230,7 @@ def _fold(grid, fhat, coef=None):
 
 
 def _block_values(grid, coef, pts):
-    """point_values at one block of (B, 2) points, from _fold's coefficients."""
+    """_MarkerSum's values at one block of (B, 2) points, from _fold's coefficients."""
     n = len(coef) // 2
     theta = np.mod(pts, grid.L) * (2.0 * math.pi / grid.L)
     e = np.empty(theta.shape + (n,), dtype=complex)  # exp(i m x), exp(i m y)
@@ -245,12 +246,18 @@ def _block_values(grid, coef, pts):
 
 
 class _MarkerSum:
-    """point_values as one list of blocks of points that two threads drain
-    from both ends: in a stage the helper takes blocks from the front while
-    the caller does the grid FFTs, then the caller takes the rest from the
-    back. deque pops are atomic, so each block runs once. Whichever thread
-    first needs the folded coefficients computes them, into the buffer buf
-    when one is given; the other waits."""
+    """Values at the (P, 2) points of the real fields whose band spectra are
+    listed in fhat, as a (P, len(fhat)) array: the direct Fourier sum over the
+    2/3 band, exact up to rounding for fields inside it, in O(P N^2) work. With
+    each kx = m row folded with its -m mirror into cos(m x) and sin(m x) rows, a
+    block of points costs one real matmul and one batched product over ky.
+    The points are one list of blocks that two threads drain from both ends:
+    in a stage the helper takes blocks from the front while the caller does
+    the grid FFTs, then the caller takes the rest from the back. deque pops
+    are atomic, so each block runs once. Whichever thread first needs the
+    folded coefficients computes them, into the buffer buf when one is
+    given; the other waits. Once values() returns, neither thread touches
+    buf again."""
 
     def __init__(self, grid, fhat, points, buf=None):
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
@@ -416,7 +423,7 @@ def rk4_step(zeta, dt, points=NO_POINTS, first=None, ws=None):
     zhat = zeta.spectrum() if field else zeta
     if first is None:
         k1, u, p1 = stage(g, zhat, points, ws)
-        first = (k1, p1, u.cfl_dt())
+        first = (k1, p1, u.cfl_dt(ws))
     k1, p1, bound = first
     if dt > bound:
         raise CFLViolation(f"dt={dt} exceeds the advective bound {bound}")
@@ -445,17 +452,26 @@ def gaussian_vorticity(grid, centers, alphas, sigmas):
     zeta0 = sum_i alpha_i exp(-((x-x_i)^2 + (y-y_i)^2) / (2 sigma_i^2))."""
     if not (len(centers) == len(alphas) == len(sigmas)):
         raise ValueError("centers, alphas and sigmas must have equal length")
-    X, Y = grid.coords()
+    x = np.arange(grid.N) * grid.dx  # the axis of grid.coords()
     vals = np.zeros((grid.N, grid.N))
+    term = np.empty_like(vals)
     for (cx, cy), alpha, sigma in zip(centers, alphas, sigmas):
         if sigma <= 0:
             raise ValueError("vortex widths must be positive")
         # nearest periodic image so off-center vortices stay smooth at the seam
-        dx = X - cx
-        dy = Y - cy
+        dx = x - cx
+        dy = x - cy
         dx -= grid.L * np.round(dx / grid.L)
         dy -= grid.L * np.round(dy / grid.L)
-        vals += alpha * np.exp(-(dx**2 + dy**2) / (2.0 * sigma**2))
+        # the offsets vary along one axis each, so only their sum is N x N; it
+        # is formed, negated, scaled and exponentiated in one array, with the
+        # bits of the meshgrid expression alpha * exp(-(dx**2 + dy**2) / (2 sigma**2))
+        np.add(np.square(dx)[:, None], np.square(dy)[None, :], out=term)
+        np.negative(term, out=term)
+        term /= 2.0 * sigma**2
+        np.exp(term, out=term)
+        term *= alpha
+        vals += term
     return VorticityField(grid, vals)
 
 
@@ -463,8 +479,7 @@ def gaussian_vorticity(grid, centers, alphas, sigmas):
 
 
 def dump_field(path, grid, values, t, quantity):
-    arr = np.ascontiguousarray(values)
-    arr.astype("<f8" if arr.dtype.kind == "f" else "<i8", copy=False).tofile(str(path))
+    np.ascontiguousarray(values).astype("<f8", copy=False).tofile(str(path))
     sidecar = {"N": grid.N, "L": grid.L, "t": t, "quantity": quantity}
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh)
@@ -476,8 +491,9 @@ def load_field(path):
     try:
         with open(str(path) + ".json") as fh:
             sidecar = json.load(fh)
-        dtype = "<i8" if sidecar["quantity"] == "strata" else "<f8"
-        values = np.fromfile(str(path), dtype=dtype).reshape(sidecar["N"], sidecar["N"])
+        if "quantity" not in sidecar:
+            raise KeyError("quantity")
+        values = np.fromfile(str(path), dtype="<f8").reshape(sidecar["N"], sidecar["N"])
     except (ValueError, KeyError, TypeError) as exc:
         raise OSError(f"{path}: not a valid field file: {exc!r}") from exc
     return sidecar, values

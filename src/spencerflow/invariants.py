@@ -1,6 +1,7 @@
 """Conserved-quantity monitor for the 2D Euler runs: total vorticity, Kelvin
-circulations along material curves, enstrophy, divergence residuals, vorticity
-strata, and conservation reports."""
+circulations along material curves, enstrophy, divergence residuals and
+conservation reports. Given the run's workspace ws, a record writes its
+N x N intermediates into the workspace arrays that are free between stages."""
 
 from dataclasses import dataclass
 
@@ -31,9 +32,10 @@ def total_vorticity(zeta):
     return float(np.sum(zeta.values)) * zeta.grid.dx**2
 
 
-def enstrophy(zeta):
-    """I2 = sum zeta^2 * (L/N)^2."""
-    return float(np.sum(zeta.values**2)) * zeta.grid.dx**2
+def enstrophy(zeta, ws=None):
+    """I2 = sum zeta^2 * (L/N)^2, with zeta^2 in ws.prod[1] when ws is given."""
+    sq = np.square(zeta.values, out=None if ws is None else ws.prod[1])
+    return float(np.sum(sq)) * zeta.grid.dx**2
 
 
 def circulation(points, velocities, L):
@@ -47,41 +49,47 @@ def circulation(points, velocities, L):
     return float(np.sum(velocities * diffs)) / 2.0
 
 
-def divergence_residual(u):
-    """max over modes of |k . u_hat| normalized by the largest mode magnitude."""
+def _spare(buf, like, dtype=complex):
+    """The leading elements of the free workspace array buf, as an array of
+    like's shape and of dtype."""
+    return buf.reshape(-1).view(dtype)[: like.size].reshape(like.shape)
+
+
+def divergence_residual(u, ws=None):
+    """max over modes of |k . u_hat| normalized by the largest mode magnitude.
+    With a workspace ws, u_hat is written to ws.rows and ws.uhat and the
+    magnitudes to ws.prod[1] and ws.coef."""
     kx, ky = u.grid.wavenumbers()
-    ux_hat = np.fft.rfft2(u.u_x)
-    uy_hat = np.fft.rfft2(u.u_y)
-    scale = float(np.max(np.hypot(np.abs(ux_hat), np.abs(uy_hat))))
+    if ws is None:
+        ux_hat, uy_hat = np.fft.rfft2(u.u_x), np.fft.rfft2(u.u_y)
+        mag_x, mag_y = np.abs(ux_hat), np.abs(uy_hat)
+    else:
+        ux_hat = np.fft.rfft2(u.u_x, out=ws.rows)
+        uy_hat = np.fft.rfft2(u.u_y, out=_spare(ws.uhat, ux_hat))
+        mag_x = np.abs(ux_hat, out=_spare(ws.prod[1], ux_hat, float))
+        mag_y = np.abs(uy_hat, out=_spare(ws.coef, ux_hat, float))
+    scale = float(np.max(np.hypot(mag_x, mag_y, out=mag_x)))
     if scale == 0.0:
         return 0.0
     ux_hat *= kx  # k . u_hat in place: a record's full-plane arrays add to a run's peak memory
     uy_hat *= ky
     ux_hat += uy_hat
-    return float(np.max(np.abs(ux_hat))) / scale
+    return float(np.max(np.abs(ux_hat, out=mag_x))) / scale
 
 
-def phi_triple(zeta, u, points, velocities, t=0.0):
+def phi_triple(zeta, u, points, velocities, t=0.0, ws=None):
     """The (I0, I1 per curve, I2, div_max) bundle at one snapshot; u is the
     grid velocity of zeta, points the (M, 2) points of each curve and
-    velocities the (M, 2) values of u at them."""
+    velocities the (M, 2) values of u at them. ws, when given, is the run's
+    workspace, free between stages, in which I2 and div_max work; zeta and u
+    may be its ws.prod[0] and ws.u, which they do not write."""
     return InvariantRecord(
         t=t,
         I0=total_vorticity(zeta),
         I1=tuple(circulation(p, v, zeta.grid.L) for p, v in zip(points, velocities)),
-        I2=enstrophy(zeta),
-        div_max=divergence_residual(u),
+        I2=enstrophy(zeta, ws),
+        div_max=divergence_residual(u, ws),
     )
-
-
-def strata_classify(zeta, thresholds):
-    """label(x) = #{tau in thresholds : |zeta(x)| >= tau}, as an N x N int64 array."""
-    thresholds = list(thresholds)
-    if any(t < 0 for t in thresholds):
-        raise ValueError("thresholds must be non-negative")
-    if any(not a < b for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be strictly ascending")
-    return np.searchsorted(thresholds, np.abs(zeta.values), side="right").astype(np.int64)
 
 
 def conservation_report(series):

@@ -1,6 +1,7 @@
 """The benchmark's self-tests, run as tier-1 so that a change to the library
 that breaks the benchmark tracer fails here."""
 
+import glob
 import importlib
 import inspect
 import json
@@ -34,16 +35,20 @@ def test_tracer_targets_resolve_in_spencerflow():
 
 
 def test_bench_baseline_holds_every_workload_and_end_to_end_metric():
-    # BENCH_1.json is the committed baseline that later BENCH_<n>.json compare
-    # with; it must name every workload and end-to-end metric of the benchmark.
+    # BENCH_1.json is the first committed baseline and each BENCH_<n>.json a
+    # later record to compare with it; every one must name every workload and
+    # end-to-end metric of the benchmark.
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    with open(os.path.join(ROOT, "BENCH_1.json")) as fh:
-        bench = json.load(fh)
-    assert {"git_sha", "python", "numpy", "nproc", "OPENBLAS_NUM_THREADS"} <= set(bench)
-    for workload in spec["workloads"]:
-        result = bench["workloads"][workload["name"]]["result"]
-        assert result["correct"] and result["failed"] == 0
-        for metric in spec["end_to_end"]:
-            value = result["metrics"][metric["name"]]
-            assert value["unit"] == metric["unit"] and value["value"] > 0
+    paths = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
+    assert os.path.join(ROOT, "BENCH_1.json") in paths
+    for path in paths:
+        with open(path) as fh:
+            bench = json.load(fh)
+        assert {"git_sha", "python", "numpy", "nproc", "OPENBLAS_NUM_THREADS"} <= set(bench), path
+        for workload in spec["workloads"]:
+            result = bench["workloads"][workload["name"]]["result"]
+            assert result["correct"] and result["failed"] == 0, (path, workload["name"])
+            for metric in spec["end_to_end"]:
+                value = result["metrics"][metric["name"]]
+                assert value["unit"] == metric["unit"] and value["value"] > 0, (path, metric)

@@ -989,6 +989,29 @@ class TestEuler:
         assert rc == 2
         assert "numerical gate" in err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"grid": {"N": 16}, "dt": 1e-300, "t_end": 1.0},
+            {"t_end": 1.0, "vortices": [{"x": 3.0, "y": 3.0, "alpha": 1e100, "sigma": 0.6}]},
+        ],
+        ids=["fixed-dt", "auto-dt"],
+    )
+    def test_more_steps_than_an_index_counts_is_gate_exit(
+        self, capsys, monkeypatch, tmp_path, overrides
+    ):
+        # t += dt stops moving t long before t_end, so such a run never ended;
+        # it is refused before its first step
+        def step(*args):
+            raise AssertionError(f"a step of dt={args[1]} was taken")
+
+        monkeypatch.setattr(eu, "rk4_step", step)
+        cfg = self.write_config(tmp_path / "c.json", **overrides)
+        rc, out, err = run_cli(capsys, ["euler", "run", "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("numerical gate: step size ")
+        assert "steps to t_end=1.0, more than an index can count" in err
+
     def test_negative_dt_rejected(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path / "c.json", dt=-0.1)
         rc, _, _ = run_cli(capsys, ["euler", "run", "--config", str(cfg)])
@@ -1109,9 +1132,9 @@ class TestSimulateSharesOneVelocityPerState:
         # the state stays a band spectrum between steps: a run makes the
         # initial state's band forward transform (rfft, fft), 4 steps + 1
         # stages of 2 band inverses (ifft, irfft) and 2 band forwards each,
-        # and per record one irfft2 for the grid field and the 2 rfft2 of
-        # div_max; no other transform. A grid state made one more rfft2 and
-        # one more irfft2 per step.
+        # and per record one band inverse for the grid field and the 2 rfft2
+        # of div_max; no other transform. A grid state made one more rfft2
+        # and one more irfft2 per step.
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -1135,8 +1158,8 @@ class TestSimulateSharesOneVelocityPerState:
         stages, R = 4 * len(steps) + 1, len(records)
         assert len(steps) >= 3 and R == 2
         assert calls == {
-            "rfft": 2 * stages + 1, "fft": 2 * stages + 1, "ifft": 2 * stages,
-            "irfft": 2 * stages, "irfft2": R, "rfft2": 2 * R,
+            "rfft": 2 * stages + 1, "fft": 2 * stages + 1, "ifft": 2 * stages + R,
+            "irfft": 2 * stages + R, "rfft2": 2 * R,
         }
 
     def test_the_step_loop_makes_no_marker_curve(self, monkeypatch):
@@ -1162,9 +1185,9 @@ class TestSimulateSharesOneVelocityPerState:
         calls = []
         max_speed = eu.VelocityField.max_speed
 
-        def counted(u):
+        def counted(u, ws=None):
             calls.append(u)
-            return max_speed(u)
+            return max_speed(u, ws)
 
         monkeypatch.setattr(eu.VelocityField, "max_speed", counted)
         records, _ = cli.simulate(dict(SHARING_DOC, dt=dt, output_every=1))

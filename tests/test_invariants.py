@@ -126,46 +126,6 @@ class TestPhiTriple:
             inv.InvariantRecord(0.0, math.nan, (), 0.0, 0.0)
 
 
-class TestStrata:
-    def test_labels_count_thresholds_passed(self, grid):
-        vals = np.zeros((128, 128))
-        vals[0, 0] = 0.5
-        vals[1, 1] = -1.5
-        vals[2, 2] = 3.0
-        zeta = eu.VorticityField(grid, vals)
-        out = inv.strata_classify(zeta, [0.25, 1.0, 2.0])
-        assert out.dtype == np.int64 and out.shape == (128, 128)
-        assert out[0, 0] == 1
-        assert out[1, 1] == 2
-        assert out[2, 2] == 3
-        assert out[3, 3] == 0
-
-    def test_monotone_in_field_magnitude(self, grid):
-        rng = np.random.default_rng(2)
-        vals = rng.standard_normal((128, 128))
-        zeta = eu.VorticityField(grid, vals)
-        scaled = eu.VorticityField(grid, 2.0 * vals)
-        a = inv.strata_classify(zeta, [0.5, 1.0])
-        b = inv.strata_classify(scaled, [0.5, 1.0])
-        assert np.all(b >= a)
-
-    def test_rejects_unsorted(self, grid):
-        zeta = eu.VorticityField(grid, np.zeros((128, 128)))
-        with pytest.raises(ValueError):
-            inv.strata_classify(zeta, [1.0, 0.5])
-
-    def test_rejects_a_nan_between_thresholds(self, grid):
-        # a nan compares false both ways, so the list is not ascending
-        zeta = eu.VorticityField(grid, np.zeros((128, 128)))
-        with pytest.raises(ValueError, match="strictly ascending"):
-            inv.strata_classify(zeta, [0.5, math.nan, 1.0])
-
-    def test_rejects_negative(self, grid):
-        zeta = eu.VorticityField(grid, np.zeros((128, 128)))
-        with pytest.raises(ValueError):
-            inv.strata_classify(zeta, [-1.0, 0.5])
-
-
 class TestConservationReport:
     def test_arithmetic(self):
         a = inv.InvariantRecord(0.0, 2.0, (1.0, -2.0), 4.0, 0.0)

@@ -28,29 +28,6 @@ def band_limited(N, seed, amp):
     return eu.VorticityField.from_spectrum(grid, eu.VorticityField(grid, raw).spectrum())
 
 
-def strata_loop(zeta, thresholds):
-    """The label count one threshold at a time: #{tau : |zeta| >= tau}."""
-    labels = np.zeros(zeta.values.shape, dtype=np.int64)
-    for tau in thresholds:
-        labels += (np.abs(zeta.values) >= tau).astype(np.int64)
-    return labels
-
-
-@given(sizes, seeds, amplitudes, st.data())
-def test_strata_labels_count_the_thresholds_passed(N, seed, amp, data):
-    # thresholds drawn at random and from the field's own magnitudes (ties)
-    zeta = band_limited(N, seed, amp)
-    mags = np.abs(zeta.values).ravel()
-    picks = data.draw(st.lists(st.integers(0, mags.size - 1), max_size=3))
-    drawn = data.draw(st.lists(st.floats(0.0, float(mags.max()) * 1.5), max_size=5))
-    thresholds = sorted(set(drawn) | {float(mags[i]) for i in picks})
-    got = inv.strata_classify(zeta, thresholds)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, strata_loop(zeta, thresholds))
-
-
-# div_max is |k . u_hat| over max |u_hat|, so it carries units of 1/L: the
-# bound is stated on the default L = 2 pi.
 @given(sizes, seeds, amplitudes)
 def test_band_limited_velocity_is_divergence_free(N, seed, amp):
     u = eu.velocity_from_vorticity(band_limited(N, seed, amp))
@@ -268,7 +245,7 @@ def test_point_values_match_the_direct_sum(N, L, seed, count, P):
     rng = np.random.default_rng(seed)
     fhat = band_spectra(grid, rng, count)
     points = rng.uniform(-2.0 * L, 3.0 * L, size=(P, 2))
-    values = eu.point_values(grid, fhat, points)
+    values = eu._MarkerSum(grid, fhat, points).values()
     assert values.shape == (P, count)
     for col, (ref, scale) in zip(values.T, direct_sum(grid, fhat, points)):
         assert np.max(np.abs(col - ref), initial=0.0) <= 1e-12 * scale
