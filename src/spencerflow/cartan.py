@@ -92,7 +92,7 @@ def cfl_bound(M):
     sum passes float64. ||M||_inf bounds every eigenvalue of M, so
     h ||M||_inf < 1 keeps a step inside the stability intervals of explicit
     Euler and rk4. The sums and maximums are whole-array passes over the
-    stack, one entry (i, j) at a time, as in _mul."""
+    stack, one entry (i, j) at a time."""
     d = M.shape[-1]
     with np.errstate(over="ignore", divide="ignore"):
         rows = (sum(np.abs(M[..., i, j]) for j in range(d)) for i in range(d))
@@ -105,10 +105,20 @@ SHRINK = 0.5  # a window ends at its first row below this part of its start
 
 
 def _mul(X, Y):
-    """X @ Y for stacks of matrices stored (d, d, n), the step axis last: the
-    sum over j runs as whole-array passes over contiguous steps, in the order
-    j = 0, 1, ..., and stays off BLAS gemm."""
-    return sum(X[:, j, None] * Y[None, j] for j in range(len(X)))
+    """X @ Y for stacks of matrices stored (d, d, n), the step axis last, as
+    one einsum. With optimize=False it stays off BLAS gemm and sums each
+    entry from zero over j = 0, 1, ..., so its bits are those of the ordered
+    sum of the products X[:, j, None] * Y[None, j]."""
+    return np.einsum("ijn,jkn->ikn", X, Y, optimize=False)
+
+
+def _apply(E, u):
+    """u + E u for the (d, d, w) stack E and one vector u, as a (d, w) array.
+    E u is one einsum that, like _mul, sums each entry from zero over
+    j = 0, 1, .... It reads u through a stride-2 copy: at w = 1 einsum drops
+    the step axis, and two unit-stride operands would make the sum over j
+    one SIMD dot product, whose partial sums reorder it."""
+    return u[:, None] + np.einsum("ijn,j->in", E, np.repeat(u, 2)[::2], optimize=False)
 
 
 def _generators(h, M0, M_mid, M_end, scheme):
@@ -162,7 +172,7 @@ def _advance(lam, h, G, norm):
             span *= 2
         scale = math.ldexp(1.0, math.frexp(np.max(np.abs(lam[start])))[1] - 1)
         u = lam[start] / scale
-        rows = u[:, None] + sum(E[:, j] * u[j] for j in range(len(u)))  # (d, w)
+        rows = _apply(E, u)  # (d, w)
         squares = np.einsum("ij,ij->j", rows, rows)  # E's bound keeps them finite
         small = np.flatnonzero(squares < SHRINK**2 * (u @ u))
         kept = small[0] + 1 if small.size else end - start
@@ -267,9 +277,12 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
 
 
 def finite_gate(values, s, message):
-    """Raise the numerical gate at the first s whose row of values is not finite."""
-    bad = np.flatnonzero(~np.isfinite(values).reshape(len(s), -1).all(axis=1))
-    if bad.size:
+    """Raise the numerical gate at the first s whose row of values is not
+    finite. One pass tests the whole array; only a failing one is searched
+    row by row for that s."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.flatnonzero(~finite.reshape(len(s), -1).all(axis=1))
         raise CFLViolation(message.format(s=s[bad[0]]))
 
 
@@ -278,14 +291,15 @@ def residual_profile(g, A, v, s, x, lam):
     transport equation at each row of a characteristic (s, x, lambda), with
     M = rhs_generator(g, A.v(x)). It reads 0 at the two ends and at a state
     whose neighbours are not equally spaced in s (the final, shortened step);
-    spacings that differ only by the rounding of s count as equal."""
+    spacings that differ only by the rounding of s count as equal. The max
+    over a is d - 1 np.maximum passes over the columns, whole rows at once."""
     h, hm = s[2:] - s[1:-1], s[1:-1] - s[:-2]
     tol = 1e-12 * np.maximum(h, hm) + 2 * np.spacing(np.abs(s[2:]))
     uneven = (h <= 0) | (np.abs(h - hm) > tol)
     M = rhs_generator(g, A.contract(x[1:-1], v))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         dlam = (lam[2:] - lam[:-2]) / (2 * h[:, None])
-        inner = np.max(np.abs(dlam - (M @ lam[1:-1, :, None])[..., 0]), axis=1)
+        inner = functools.reduce(np.maximum, np.abs(dlam - (M @ lam[1:-1, :, None])[..., 0]).T)
     resid = np.zeros(len(s))
     resid[1:-1] = np.where(uneven, 0.0, inner)
     return resid
@@ -313,12 +327,3 @@ def monopole_radial_check(q, r, h):
     numeric = (q / (r + h) ** 2 - q / (r - h) ** 2) / (2 * h)
     exact = -2 * q / r**3
     return numeric, exact, abs(numeric - exact)
-
-
-def nonholonomy_coefficient(g, lam, omega_val):
-    """<lambda, Omega> / ||lambda||^2, the quotient-direction coefficient."""
-    lam_arr, om = _floats(lam), _floats(omega_val)
-    norm2 = float(lam_arr @ lam_arr)
-    if norm2 == 0.0:
-        raise ValueError("lambda must be nonzero")
-    return float(lam_arr @ om) / norm2

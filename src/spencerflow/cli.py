@@ -188,7 +188,7 @@ def simulate(doc, snapshot_cb=None):
             [(x, y) for x, y, _, _ in vortices],
             [alpha for _, _, alpha, _ in vortices],
             [sigma for _, _, _, sigma in vortices],
-        ).spectrum()
+        ).spectrum(ws)
         while True:
             k1, u, p1 = euler2d.stage(grid, zhat, points, ws)
             done = t >= t_end * (1 - 1e-12)

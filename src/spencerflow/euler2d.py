@@ -94,10 +94,11 @@ class VorticityField:
             return VorticityField(grid, np.fft.irfft2(zhat, s=(grid.N, grid.N)))
         return VorticityField(grid, _band_inverse(zhat, ws.prod[0], ws.scratch))
 
-    def spectrum(self):
+    def spectrum(self, ws=None):
         """The run state of this field: its spectrum on the band columns,
-        dealiased, so zero in the rows |kx| > N/3."""
-        zhat = _band_forward(self.values, self.grid.band)
+        dealiased, so zero in the rows |kx| > N/3. It is a fresh array; with a
+        workspace ws the rows' rfft goes through ws.rows, the same bits."""
+        zhat = _band_forward(self.values, self.grid.band, rows=None if ws is None else ws.rows)
         zhat *= self.grid.kept_rows
         return zhat
 
@@ -420,7 +421,7 @@ def rk4_step(zeta, dt, points=NO_POINTS, first=None, ws=None):
     if ws is None:
         ws = Workspace(zeta.grid)
     g = ws.grid
-    zhat = zeta.spectrum() if field else zeta
+    zhat = zeta.spectrum(ws) if field else zeta
     if first is None:
         k1, u, p1 = stage(g, zhat, points, ws)
         first = (k1, p1, u.cfl_dt(ws))

@@ -244,15 +244,6 @@ def is_semisimple(g):
     return jacobi_residual(g) == 0 and _exact.rank([dict(enumerate(r)) for r in B]) == g.dim
 
 
-def center_basis(g):
-    """Exact basis of the center {X : [e_b, X] = 0 for all b}: the rows of
-    every ad_{e_b} matrix, stacked."""
-    rows = [
-        dict(enumerate(r)) for b in range(g.dim) for r in ad_matrix(g, basis_vector(g, b))
-    ]
-    return [LieVector(tuple(v)) for v in _exact.nullspace(rows, n_cols=g.dim)]
-
-
 def stabilizer_subalgebra(g, lam):
     """Exact basis of {X : ad*_X lambda = 0}."""
     _check_conforms(g, lam)

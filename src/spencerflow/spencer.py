@@ -71,18 +71,6 @@ def sym_basis(dim, degree):
     return list(itertools.combinations_with_replacement(range(dim), degree))
 
 
-def sym_product(X, Y):
-    """Symmetric product: merge and re-sort multi-indices, bilinear."""
-    if X.dim != Y.dim:
-        raise DimensionMismatch("factors over different algebras")
-    terms = {}
-    for ix, cx in X.terms.items():
-        for iy, cy in Y.terms.items():
-            idx = tuple(sorted(ix + iy))
-            terms[idx] = terms.get(idx, 0) + cx * cy
-    return SymTensor(X.dim, X.degree + Y.degree, terms)
-
-
 def _replace_slot(indices, j, new_index):
     out = list(indices)
     out[j] = new_index

@@ -283,21 +283,6 @@ class TestMonopole:
             ca.integrate(su2, LAM0, A, (1.0,), 0.1, 0.5)
 
 
-class TestNonholonomy:
-    def test_orthogonal(self, su2):
-        assert ca.nonholonomy_coefficient(su2, la.DualVector((1.0, 0.0, 0.0)), E3) == 0.0
-
-    def test_aligned_unit(self, su2):
-        assert ca.nonholonomy_coefficient(su2, la.DualVector((0.0, 0.0, 1.0)), E3) == 1.0
-
-    def test_scaling(self, su2):
-        assert ca.nonholonomy_coefficient(su2, la.DualVector((0.0, 0.0, 2.0)), E3) == 0.5
-
-    def test_zero_lambda_rejected(self, su2):
-        with pytest.raises(ValueError):
-            ca.nonholonomy_coefficient(su2, la.DualVector((0.0, 0.0, 0.0)), E3)
-
-
 def structure_tensor_loop(g):
     """The float tensor built entry by entry from the exact constants."""
     n = g.dim
@@ -733,3 +718,49 @@ def test_a_first_step_past_the_bound_is_gated_before_the_path_is_built(su2):
     with pytest.raises(ca.CFLViolation, match=r"^step size 2\.0 >= stability bound 1\.0 "):
         ca.integrate(su2, LAM0, A, (1.0,), 2.0, 2e6, "rk4")
     assert rows == [1]
+
+
+def extreme_stack(rng, shape, share):
+    """Normal entries, a share of them replaced by +-0.0 or +-1e300, so that a
+    fused multiply-add, a reordered sum or a lost signed zero shows."""
+    X = rng.standard_normal(shape)
+    special = rng.random(shape) < share
+    X[special] = rng.choice([0.0, -0.0, 1e300, -1e300], np.count_nonzero(special))
+    return X
+
+
+def assert_same_bits(got, want):
+    """Equal values and equal signs, zeros included; a nan's sign is not
+    compared, as the arithmetic does not define it."""
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got) & ~np.isnan(got), np.signbit(want) & ~np.isnan(want))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 11])
+@pytest.mark.parametrize("w", [1, 7, 256])
+def test_stack_products_keep_the_bits_of_the_ordered_sum(d, w):
+    # _mul and _apply are einsums; their bits must stay those of whole-array
+    # passes over j = 0, 1, ... summed from zero, which the scan was written
+    # as. A numpy whose einsum fuses multiply-add, or sums over j as a SIMD
+    # dot product (what a unit-stride u gives at w = 1), fails here.
+    rng = np.random.default_rng(100 * d + w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for share in (0.0, 0.0, 0.05, 0.05, 0.25, 0.25):
+            X, Y, u = (extreme_stack(rng, shape, share) for shape in ((d, d, w), (d, d, w), d))
+            assert_same_bits(ca._mul(X, Y), sum(X[:, j, None] * Y[None, j] for j in range(d)))
+            assert_same_bits(ca._apply(X, u), u[:, None] + sum(X[:, j] * u[j] for j in range(d)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("row", [0, 4, 9])
+@pytest.mark.parametrize("shape", [(10,), (10, 1), (10, 3)])
+def test_finite_gate_names_the_first_row_that_leaves_float64(bad, row, shape):
+    s = np.linspace(0.0, 0.9, 10)
+    values = np.ones(shape)
+    values.reshape(10, -1)[row:, -1] = bad  # every row from row on, in the last column
+    message = "non-finite state after the step to s={s}"
+    with pytest.raises(ca.CFLViolation) as info:
+        ca.finite_gate(values, s, message)
+    assert str(info.value) == message.format(s=s[row])
+    values[row:] = 1.0
+    ca.finite_gate(values, s, message)

@@ -35,37 +35,6 @@ def random_tensor(rng, dim, degree, n_terms=4):
     return sp.SymTensor(dim, degree, terms)
 
 
-class TestSymProduct:
-    def test_basis_product(self):
-        out = sp.sym_product(mono(3, 0), mono(3, 1))
-        assert out.terms == {(0, 1): 1}
-
-    def test_commutative_on_basis(self):
-        assert sp.sym_product(mono(3, 1), mono(3, 0)) == sp.sym_product(
-            mono(3, 0), mono(3, 1)
-        )
-
-    def test_bilinear(self):
-        X = mono(3, 0) + mono(3, 1)
-        out = sp.sym_product(X, mono(3, 0))
-        assert out.terms == {(0, 0): 1, (0, 1): 1}
-
-    def test_commutative_associative_random(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            X = random_tensor(rng, 3, rng.randint(0, 2))
-            Y = random_tensor(rng, 3, rng.randint(0, 2))
-            Z = random_tensor(rng, 3, rng.randint(0, 2))
-            assert sp.sym_product(X, Y) == sp.sym_product(Y, X)
-            assert sp.sym_product(sp.sym_product(X, Y), Z) == sp.sym_product(
-                X, sp.sym_product(Y, Z)
-            )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(la.DimensionMismatch):
-            sp.sym_product(mono(3, 0), mono(2, 0))
-
-
 class TestStructuralDelta:
     def test_su2_degree_one_vanishes(self, su2):
         for a in range(3):
