@@ -82,8 +82,9 @@ def _floats(vec):
 def rhs_generator(g, A_dot_v):
     """Matrix M with (dlambda/ds)_a = M[a, c] lambda_c = -C^c_{ba} (A.v)^b lambda_c,
     one per row of an A.v of shape (..., dim)."""
-    # M[..., a, c] = -sum_b C[b, a, c] * Av[..., b]
-    return -np.einsum("bac,...b->...ac", _structure_tensor(g), _floats(A_dot_v))
+    # M[..., a, c] = -sum_b C[b, a, c] * Av[..., b], negated in place
+    M = np.einsum("bac,...b->...ac", _structure_tensor(g), _floats(A_dot_v))
+    return np.negative(M, out=M)
 
 
 def cfl_bound(M):
@@ -144,6 +145,13 @@ def _generators(h, M0, M_mid, M_end, scheme):
     return (M0 + 2 * A2 + 2 * A3 + A4) / 6
 
 
+def _squares(rows):
+    """The squared norms of the columns of the (d, w) array rows, summed over
+    i = 0, 1, ... in order at every w. (np.einsum("ij,ij->j") sums a single
+    column, w = 1, as a SIMD dot product, whose partial sums reorder it.)"""
+    return functools.reduce(np.add, rows * rows)
+
+
 def _advance(lam, h, G, norm):
     """Fill lam[k + 1] = P_k ... P_0 lam[0] with P_n = I + h[n] G[:, :, n] for
     each step k, where lam has one row more than h and G has one generator
@@ -173,7 +181,7 @@ def _advance(lam, h, G, norm):
         scale = math.ldexp(1.0, math.frexp(np.max(np.abs(lam[start])))[1] - 1)
         u = lam[start] / scale
         rows = _apply(E, u)  # (d, w)
-        squares = np.einsum("ij,ij->j", rows, rows)  # E's bound keeps them finite
+        squares = _squares(rows)  # E's bound keeps them finite
         small = np.flatnonzero(squares < SHRINK**2 * (u @ u))
         kept = small[0] + 1 if small.size else end - start
         rows = rows[:, :kept]

@@ -88,17 +88,22 @@ class VorticityField:
     @staticmethod
     def from_spectrum(grid, zhat, ws=None):
         """The grid field of a band spectrum: one irfft2. With a workspace ws
-        it is written to ws.prod[0] through ws.scratch, the same bits, and
-        holds until ws's next stage or CFL bound."""
+        it is written through ws.scratch to ws.field, an N x N float view of
+        ws.uhat, which is free between stages, the same bits, and holds until
+        ws's next stage."""
         if ws is None:
             return VorticityField(grid, np.fft.irfft2(zhat, s=(grid.N, grid.N)))
-        return VorticityField(grid, _band_inverse(zhat, ws.prod[0], ws.scratch))
+        return VorticityField(grid, _band_inverse(zhat, ws.field, ws.scratch))
 
     def spectrum(self, ws=None):
         """The run state of this field: its spectrum on the band columns,
         dealiased, so zero in the rows |kx| > N/3. It is a fresh array; with a
-        workspace ws the rows' rfft goes through ws.rows, the same bits."""
-        zhat = _band_forward(self.values, self.grid.band, rows=None if ws is None else ws.rows)
+        workspace ws it is ws.states[0], its rows' rfft going through
+        ws.rows[0], the same bits, and holds until ws.states[0] is written
+        again: by the next spectrum given ws, or by an rk4_step given ws
+        whose input is not there."""
+        out, rows = (None, None) if ws is None else (ws.states[0], ws.rows[0])
+        zhat = _band_forward(self.values, self.grid.band, out, rows)
         zhat *= self.grid.kept_rows
         return zhat
 
@@ -116,8 +121,9 @@ class VelocityField:
     def max_speed(self, ws=None):
         """max(hypot(u_x, u_y)) bit for bit: hypot runs where u_x² + u_y² is within 1e-12
         of its max (far above either's rounding), everywhere if that max is 0, tiny or inf.
-        With a workspace ws, u_x² and u_y² are written to the planes of ws.prod."""
-        sq = (None, None) if ws is None else ws.prod
+        With a workspace ws, u_x² and u_y² are written to ws.planes, the float views
+        of the two halves of ws.rows, and are spent when it returns."""
+        sq = (None, None) if ws is None else ws.planes
         with np.errstate(over="ignore"):
             s = np.multiply(self.u_x, self.u_x, out=sq[0])
             s += np.multiply(self.u_y, self.u_y, out=sq[1])
@@ -128,7 +134,7 @@ class VelocityField:
     def cfl_dt(self, ws=None):
         """Advective step bound dt <= 0.5 * dx / max|u|; +inf for a still field.
         Raises NonFinite when max|u| is not finite, which no dt can pass.
-        max_speed works in ws.prod when a workspace ws is given."""
+        max_speed works in ws.planes when a workspace ws is given."""
         vmax = self.max_speed(ws)
         if not math.isfinite(vmax):
             raise NonFinite("non-finite velocity")
@@ -159,12 +165,19 @@ class Workspace:
     """The spectral operators and the arrays of the stages and RK4 steps of
     one run on grid, made once: the caller makes one per run and passes it to
     every stage and rk4_step, which write their intermediates into it instead
-    of allocating them. The tendency and the grid velocity that a stage
-    returns are arrays of the workspace and hold only until the next stage
-    given it. They are the only arrays live between two stages, so a record
-    (from_spectrum, invariants.phi_triple) and a CFL bound given the
-    workspace write into prod, scratch, rows, uhat and coef instead of
-    allocating. One workspace serves one caller at a time."""
+    of allocating them. The tendency (out) and the grid velocity (u) that a
+    stage returns hold only until the next stage given the workspace. The
+    run state lives in states, whose two band arrays rk4_step fills in
+    turn. Those are the only arrays live between two stages, so a record and
+    a CFL bound given the workspace work in the others instead of
+    allocating: from_spectrum writes the grid vorticity to field, an N x N
+    float view of uhat; max_speed and invariants.enstrophy square into
+    planes, the N x N float views of the first N^2 floats of the two halves
+    of rows; and
+    invariants.divergence_residual transforms u into rows and takes the
+    magnitudes in coef and scratch. One workspace serves one caller at a
+    time. Its size is 32 N^2 + 48 N + 120 N b + 64 b^2 + 16 b bytes for
+    b = N // 3 + 1, the band width."""
 
     def __init__(self, grid):
         N, band = grid.N, (grid.N, grid.band)
@@ -180,13 +193,16 @@ class Workspace:
         self.inv_k2 = np.divide(keep, k2, out=np.zeros_like(k2), where=k2 > 0)
         self.diff, self.cross = (kx**2 - ky**2) * keep, kx * ky * keep
         self.uhat = np.empty((2, *band), complex)  # u_x and u_y hat; psi hat before u_y's
+        self.field = self.uhat.reshape(-1).view(float)[: N * N].reshape(N, N)  # a record's zeta
         self.u = np.empty((2, N, N))
-        self.prod = np.empty((2, N, N))  # u_x u_y, then u_y^2 and u_x^2
-        self.rows = np.empty((N, N // 2 + 1), complex)  # rfft of a product's rows
+        # a stage's product plane is planes[0]: u_x u_y, then u_y^2 - u_x^2, with
+        # u_x^2 in planes[1] once rows[1], the rfft of the rows of u_x u_y, is spent
+        self.rows = np.empty((2, N, N // 2 + 1), complex)
+        self.planes = self.rows.reshape(2, -1).view(float)[:, : N * N].reshape(2, N, N)
         # rk4_step's stage input, then the ifft of a u hat's columns, then F[u_y^2 - u_x^2]
         self.scratch = np.empty(band, complex)
         self.out = np.empty(band, complex)  # the tendency
-        self.acc = np.empty(band, complex)  # rk4_step's k1 + 2 k2 + 2 k3 + k4
+        self.states = np.empty((2, *band), complex)  # run states: spectrum's, rk4_step's in turn
         self.coef = np.empty((grid.band, 2, 2, grid.band), complex)  # _fold's, for (u_x, u_y)
 
 
@@ -378,13 +394,13 @@ def stage(grid, zhat, points, ws=None):
         for f, values in zip(uhat, ws.u):
             _band_inverse(f, values, ws.scratch)
         u = VelocityField(grid, *ws.u)
-        xy, sq = ws.prod
-        np.multiply(u.u_x, u.u_y, out=xy)
-        out = _band_forward(xy, grid.band, ws.out, ws.rows)
+        prod, sq = ws.planes
+        np.multiply(u.u_x, u.u_y, out=prod)
+        out = _band_forward(prod, grid.band, ws.out, ws.rows[1])
         out *= ws.diff
-        np.multiply(u.u_y, u.u_y, out=sq)
-        sq -= np.multiply(u.u_x, u.u_x, out=xy)
-        sq_hat = _band_forward(sq, grid.band, ws.scratch, ws.rows)
+        np.multiply(u.u_y, u.u_y, out=prod)
+        prod -= np.multiply(u.u_x, u.u_x, out=sq)
+        sq_hat = _band_forward(prod, grid.band, ws.scratch, ws.rows[1])
         sq_hat *= ws.cross
         out += sq_hat
     finally:
@@ -414,7 +430,13 @@ def rk4_step(zeta, dt, points=NO_POINTS, first=None, ws=None):
     Raises CFLViolation when dt exceeds that advective bound of zeta, and
     NonFinite when the new spectrum is not finite; returns (zeta, points),
     the points wrapped into the domain. k1 + 2 k2 + 2 k3 + k4 is summed in
-    ws.acc in that order, so the bits equal the expression's."""
+    that order in the one of ws.states that zeta's spectrum does not occupy
+    (ws.states[0] for a caller's array), scaled by dt / 6, and zeta's
+    spectrum added to it in place: the bits of zhat + dt / 6 (k1 + ... + k4).
+    That array is the new spectrum, so a chain of steps, each given the one
+    before's result, alternates between the two and allocates no state: a
+    returned spectrum holds until the second-next rk4_step given ws, and a
+    caller's array is never written."""
     if dt == 0.0:
         return zeta, points
     field = isinstance(zeta, VorticityField)
@@ -428,7 +450,7 @@ def rk4_step(zeta, dt, points=NO_POINTS, first=None, ws=None):
     k1, p1, bound = first
     if dt > bound:
         raise CFLViolation(f"dt={dt} exceeds the advective bound {bound}")
-    acc = ws.acc
+    acc = ws.states[1] if np.may_share_memory(zhat, ws.states[0]) else ws.states[0]
     np.copyto(acc, k1)
     k2, _, p2 = stage(g, _shifted(ws, zhat, dt / 2, k1), points + dt / 2 * p1, ws)
     zin = _shifted(ws, zhat, dt / 2, k2)
@@ -441,11 +463,11 @@ def rk4_step(zeta, dt, points=NO_POINTS, first=None, ws=None):
     k4, _, p4 = stage(g, zin, points + dt * p3, ws)
     acc += k4
     acc *= dt / 6
-    zhat = acc + zhat
-    if not np.all(np.isfinite(zhat)):
+    acc += zhat
+    if not np.all(np.isfinite(acc)):
         raise NonFinite("non-finite vorticity spectrum")
     points = np.mod(points + dt / 6 * (p1 + 2 * p2 + 2 * p3 + p4), g.L)
-    return (VorticityField.from_spectrum(g, zhat) if field else zhat), points
+    return (VorticityField.from_spectrum(g, acc) if field else acc), points
 
 
 def gaussian_vorticity(grid, centers, alphas, sigmas):

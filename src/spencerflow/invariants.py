@@ -33,8 +33,9 @@ def total_vorticity(zeta):
 
 
 def enstrophy(zeta, ws=None):
-    """I2 = sum zeta^2 * (L/N)^2, with zeta^2 in ws.prod[1] when ws is given."""
-    sq = np.square(zeta.values, out=None if ws is None else ws.prod[1])
+    """I2 = sum zeta^2 * (L/N)^2, with zeta^2 in ws.planes[1] when ws is given,
+    spent when it returns."""
+    sq = np.square(zeta.values, out=None if ws is None else ws.planes[1])
     return float(np.sum(sq)) * zeta.grid.dx**2
 
 
@@ -55,19 +56,29 @@ def _spare(buf, like, dtype=complex):
     return buf.reshape(-1).view(dtype)[: like.size].reshape(like.shape)
 
 
+def _stacked(u, ws):
+    """u's components as one (2, N, N) array: ws.u itself when they are its
+    planes, as for the velocity of ws's stage, else a stacked copy."""
+    x, y = ws.u
+    same = u.u_x.__array_interface__ == x.__array_interface__
+    if same and u.u_y.__array_interface__ == y.__array_interface__:
+        return ws.u
+    return np.stack((u.u_x, u.u_y))
+
+
 def divergence_residual(u, ws=None):
     """max over modes of |k . u_hat| normalized by the largest mode magnitude.
-    With a workspace ws, u_hat is written to ws.rows and ws.uhat and the
-    magnitudes to ws.prod[1] and ws.coef."""
+    With a workspace ws, u_hat of both components is one stacked rfft2 into
+    the two halves of ws.rows, the bits of two calls, and the magnitudes are
+    written to ws.coef and ws.scratch; all are spent when it returns."""
     kx, ky = u.grid.wavenumbers()
     if ws is None:
         ux_hat, uy_hat = np.fft.rfft2(u.u_x), np.fft.rfft2(u.u_y)
         mag_x, mag_y = np.abs(ux_hat), np.abs(uy_hat)
     else:
-        ux_hat = np.fft.rfft2(u.u_x, out=ws.rows)
-        uy_hat = np.fft.rfft2(u.u_y, out=_spare(ws.uhat, ux_hat))
-        mag_x = np.abs(ux_hat, out=_spare(ws.prod[1], ux_hat, float))
-        mag_y = np.abs(uy_hat, out=_spare(ws.coef, ux_hat, float))
+        ux_hat, uy_hat = np.fft.rfft2(_stacked(u, ws), out=ws.rows)
+        mag_x = np.abs(ux_hat, out=_spare(ws.coef, ux_hat, float))
+        mag_y = np.abs(uy_hat, out=_spare(ws.scratch, ux_hat, float))
     scale = float(np.max(np.hypot(mag_x, mag_y, out=mag_x)))
     if scale == 0.0:
         return 0.0
@@ -82,7 +93,8 @@ def phi_triple(zeta, u, points, velocities, t=0.0, ws=None):
     grid velocity of zeta, points the (M, 2) points of each curve and
     velocities the (M, 2) values of u at them. ws, when given, is the run's
     workspace, free between stages, in which I2 and div_max work; zeta and u
-    may be its ws.prod[0] and ws.u, which they do not write."""
+    may be the grid vorticity that from_spectrum wrote to ws.uhat and the
+    stage's ws.u, which they do not write."""
     return InvariantRecord(
         t=t,
         I0=total_vorticity(zeta),

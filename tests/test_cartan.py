@@ -764,3 +764,16 @@ def test_finite_gate_names_the_first_row_that_leaves_float64(bad, row, shape):
     assert str(info.value) == message.format(s=s[row])
     values[row:] = 1.0
     ca.finite_gate(values, s, message)
+
+
+@pytest.mark.parametrize("d", [3, 8, 11])
+@pytest.mark.parametrize("w", [1, 2, 7])
+def test_window_row_squares_keep_the_bits_of_the_ordered_sum(d, w):
+    # _advance ends a window at its first row whose squared norm falls below
+    # SHRINK^2 |u|^2; the squares must be summed over i = 0, 1, ... at every
+    # window width. np.einsum("ij,ij->j") does so from w = 2 up, but sums a
+    # one-step window (w = 1) as a SIMD dot product, which fails here.
+    rng = np.random.default_rng(10 * d + w)
+    for _ in range(500):
+        rows = rng.standard_normal((d, w))
+        assert_same_bits(ca._squares(rows), sum(rows[i] * rows[i] for i in range(d)))

@@ -1132,9 +1132,9 @@ class TestSimulateSharesOneVelocityPerState:
         # the state stays a band spectrum between steps: a run makes the
         # initial state's band forward transform (rfft, fft), 4 steps + 1
         # stages of 2 band inverses (ifft, irfft) and 2 band forwards each,
-        # and per record one band inverse for the grid field and the 2 rfft2
-        # of div_max; no other transform. A grid state made one more rfft2
-        # and one more irfft2 per step.
+        # and per record one band inverse for the grid field and div_max's
+        # one rfft2 of both velocity components stacked; no other transform.
+        # A grid state made one more rfft2 and one more irfft2 per step.
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -1159,7 +1159,7 @@ class TestSimulateSharesOneVelocityPerState:
         assert len(steps) >= 3 and R == 2
         assert calls == {
             "rfft": 2 * stages + 1, "fft": 2 * stages + 1, "ifft": 2 * stages + R,
-            "irfft": 2 * stages + R, "rfft2": 2 * R,
+            "irfft": 2 * stages + R, "rfft2": R,
         }
 
     def test_the_step_loop_makes_no_marker_curve(self, monkeypatch):

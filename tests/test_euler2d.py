@@ -340,7 +340,7 @@ def test_band_transforms_equal_the_half_plane_ones(N):
     for _ in range(2):
         x = rng.standard_normal((N, N))
         full = np.fft.rfft2(x)
-        band = eu._band_forward(x, grid.band, ws.out, ws.rows)
+        band = eu._band_forward(x, grid.band, ws.out, ws.rows[0])
         assert band is ws.out and same_bits([band], [full[:, : grid.band]])
         padded = np.zeros_like(full)
         padded[:, : grid.band] = band
@@ -363,57 +363,91 @@ def test_a_stage_returns_the_arrays_of_its_workspace():
     assert same_bits([T], [T_own])  # the next stage given ws overwrote it
 
 
-def test_a_step_in_a_warm_workspace_allocates_little():
-    # one step at N = 256 with 768 markers: the new spectrum, the marker blocks
-    # and the small point arrays (about 0.8 MB; 1.06 MB with the CFL bound's
-    # squares allocated afresh); a step that allocated its stage and FFT arrays
-    # afresh peaked at 9.3 MB
-    grid = eu.GridSpec(256)
-    zhat = eu.gaussian_vorticity(grid, [(3.0, 3.0)], [1.0], [0.5]).spectrum()
-    pts = np.random.default_rng(5).uniform(0.0, grid.L, (768, 2))
-    ws = eu.Workspace(grid)
-    eu.rk4_step(zhat, 1e-3, pts, None, ws)  # every buffer written once
+def warm_peak(fn):
+    """The tracemalloc peak of fn() above what was traced before it, on its
+    second call: the first writes every buffer of its workspace once."""
+    fn()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        eu.rk4_step(zhat, 1e-3, pts, None, ws)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - before, result
     finally:
         tracemalloc.stop()
-    assert peak < 1.5e6
 
 
-def test_a_recorded_state_in_a_warm_workspace_allocates_little():
-    # simulate's work on a recorded state at N = 256 with 768 markers: its
-    # stage, record, CFL bound and step. The record's grid field, transforms
-    # and magnitudes and the bound's squares go to workspace arrays that are
-    # free between stages, so the step sets the peak (about 0.8 MB); with
-    # them allocated afresh it was 2.39 MB. The record keeps its bits.
+def test_a_step_in_a_warm_workspace_allocates_little():
+    # one step at N = 256. With 768 markers the marker blocks set the peak
+    # (about 0.6 MB, up to 0.8 MB with the helper thread's block beside the
+    # caller's); a step that allocated its stage and FFT arrays afresh peaked
+    # at 9.3 MB. Without markers nothing of the step's own is left but the
+    # finite check (about 0.14 MB with the FFTs' own buffers): the new
+    # spectrum is a state array of the workspace, where a fresh one peaked
+    # at 0.38 MB
     grid = eu.GridSpec(256)
     zhat = eu.gaussian_vorticity(grid, [(3.0, 3.0)], [1.0], [0.5]).spectrum()
     pts = np.random.default_rng(5).uniform(0.0, grid.L, (768, 2))
     ws = eu.Workspace(grid)
+    assert warm_peak(lambda: eu.rk4_step(zhat, 1e-3, pts, None, ws))[0] < 1.2e6
+    assert warm_peak(lambda: eu.rk4_step(zhat, 1e-3, eu.NO_POINTS, None, ws))[0] < 0.25e6
 
-    def recorded_state():
+
+def test_a_recorded_state_in_a_warm_workspace_allocates_little():
+    # simulate's work on a recorded state at N = 256: its stage, record, CFL
+    # bound and step. The record's grid field, transforms and magnitudes and
+    # the bound's squares go to workspace arrays that are free between
+    # stages, and so does the new spectrum; with 768 markers the marker
+    # blocks set the peak (about 0.6 to 0.8 MB; 2.39 MB with the record's
+    # arrays allocated afresh), and without markers it is about 0.14 MB
+    # (0.38 MB with a fresh spectrum). The record keeps its bits.
+    grid = eu.GridSpec(256)
+    zhat = eu.gaussian_vorticity(grid, [(3.0, 3.0)], [1.0], [0.5]).spectrum()
+    ws = eu.Workspace(grid)
+
+    def recorded_state(pts):
         k1, u, p1 = eu.stage(grid, zhat, pts, ws)
         zeta = eu.VorticityField.from_spectrum(grid, zhat, ws)
-        record = inv.phi_triple(zeta, u, [pts], [p1], ws=ws)
+        curves = ([pts], [p1]) if len(pts) else ([], [])
+        record = inv.phi_triple(zeta, u, *curves, ws=ws)
         bound = u.cfl_dt(ws)
         eu.rk4_step(zhat, 1e-3, pts, (k1, p1, bound), ws)
         return record, bound
 
-    recorded_state()  # every buffer written once
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        record, bound = recorded_state()
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    pts = np.random.default_rng(5).uniform(0.0, grid.L, (768, 2))
+    peak, (record, bound) = warm_peak(lambda: recorded_state(pts))
     assert peak < 1.2e6
     _, u, p1 = eu.stage(grid, zhat, pts)  # a workspace of its own
     zeta = eu.VorticityField.from_spectrum(grid, zhat)
     assert record == inv.phi_triple(zeta, u, [pts], [p1]) and bound == u.cfl_dt()
+    assert warm_peak(lambda: recorded_state(eu.NO_POINTS))[0] < 0.25e6
+
+
+def test_a_chain_of_steps_alternates_between_the_workspace_states():
+    # spectrum(ws) is ws.states[0]; each step writes the state array its
+    # input does not occupy, so a returned state holds through the next step
+    # and is overwritten by the second-next
+    grid = eu.GridSpec(32)
+    ws = eu.Workspace(grid)
+    field = eu.gaussian_vorticity(grid, [(3.0, 3.0)], [1.0], [0.5])
+    z0 = field.spectrum(ws)
+    assert np.shares_memory(z0, ws.states[0]) and same_bits([z0], [field.spectrum()])
+    z1, _ = eu.rk4_step(z0, 1e-2, eu.NO_POINTS, None, ws)
+    kept = z1.copy()
+    z2, _ = eu.rk4_step(z1, 1e-2, eu.NO_POINTS, None, ws)
+    assert np.shares_memory(z1, ws.states[1]) and np.shares_memory(z2, ws.states[0])
+    assert same_bits([z1], [kept])
+    z3, _ = eu.rk4_step(z2, 1e-2, eu.NO_POINTS, None, ws)
+    assert np.shares_memory(z3, z1) and not same_bits([z1], [kept])
+
+
+def test_a_step_leaves_the_callers_state_unwritten():
+    grid, zhat, pts = random_state(32, 9, seed=4)
+    ws = eu.Workspace(grid)
+    for _ in range(2):  # states[0] is the new spectrum, then states[0] again
+        kept = zhat.copy()
+        z, _ = eu.rk4_step(zhat, 1e-3, pts, None, ws)
+        assert same_bits([zhat], [kept]) and not np.shares_memory(z, zhat)
+        assert np.shares_memory(z, ws.states[0])
 
 
 class TestStageHelperThread:
@@ -510,6 +544,23 @@ class TestStageHelperThread:
             k1, u, p1 = eu.stage(grid, zhat, pts, ws)
             z, p = eu.rk4_step(zhat, dt, pts, (k1, p1, u.cfl_dt()), ws)
             assert same_bits([z, p], want)
+
+    def test_steps_through_the_workspace_states_equal_the_expression(self):
+        # five chained steps, each written in place into the state array its
+        # input does not occupy, against zhat + dt / 6 (k1 + ... + k4) in
+        # fresh arrays: the same bits
+        grid, zhat, pts, dt, _ = self.serial_step(seed=11)
+        ws = eu.Workspace(grid)
+        z, p, want_z, want_p = zhat, pts, zhat, pts
+        for _ in range(5):
+            z, p = eu.rk4_step(z, dt, p, None, ws)
+            k1, _, _, p1 = serial_stage(grid, want_z, want_p)
+            k2, _, _, p2 = serial_stage(grid, want_z + dt / 2 * k1, want_p + dt / 2 * p1)
+            k3, _, _, p3 = serial_stage(grid, want_z + dt / 2 * k2, want_p + dt / 2 * p2)
+            k4, _, _, p4 = serial_stage(grid, want_z + dt * k3, want_p + dt * p3)
+            want_z = dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4) + want_z
+            want_p = np.mod(want_p + dt / 6 * (p1 + 2 * p2 + 2 * p3 + p4), grid.L)
+            assert same_bits([z, p], [want_z, want_p])
 
     def test_on_one_cpu_the_caller_does_all_the_work(self, monkeypatch):
         def submit(*args):

@@ -100,6 +100,17 @@ class TestDivergence:
         u = eu.VelocityField(grid, np.sin(X), np.zeros((128, 128)))
         assert inv.divergence_residual(u) > 0.5
 
+    def test_a_workspace_keeps_the_bits(self, grid, gaussian):
+        # with a workspace both components are one stacked rfft2: of ws.u
+        # itself for the velocity of its stage, else of a stacked copy
+        ws = eu.Workspace(grid)
+        _, u, _ = eu.stage(grid, gaussian.spectrum(), eu.NO_POINTS, ws)
+        X, _ = grid.coords()
+        other = eu.VelocityField(grid, u.u_x + np.sin(X), u.u_y)
+        assert inv._stacked(u, ws) is ws.u and inv._stacked(other, ws) is not ws.u
+        for v in (u, other, eu.VelocityField(grid, u.u_y, u.u_x)):
+            assert inv.divergence_residual(v, ws) == inv.divergence_residual(v)
+
 
 class TestPhiTriple:
     def test_zero_state(self, grid):
