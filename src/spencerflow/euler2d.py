@@ -173,11 +173,10 @@ class Workspace:
     allocating: from_spectrum writes the grid vorticity to field, an N x N
     float view of uhat; max_speed and invariants.enstrophy square into
     planes, the N x N float views of the first N^2 floats of the two halves
-    of rows; and
-    invariants.divergence_residual transforms u into rows and takes the
-    magnitudes in coef and scratch. One workspace serves one caller at a
-    time. Its size is 32 N^2 + 48 N + 120 N b + 64 b^2 + 16 b bytes for
-    b = N // 3 + 1, the band width."""
+    of rows; and invariants.divergence_residual transforms u into rows and
+    takes the magnitudes in coef and scratch. One workspace serves one
+    caller at a time. Its size is 32 N^2 + 48 N + 120 N b + 64 b^2 + 16 b
+    bytes for b = N // 3 + 1, the band width."""
 
     def __init__(self, grid):
         N, band = grid.N, (grid.N, grid.band)

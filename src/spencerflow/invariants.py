@@ -59,11 +59,10 @@ def _spare(buf, like, dtype=complex):
 def _stacked(u, ws):
     """u's components as one (2, N, N) array: ws.u itself when they are its
     planes, as for the velocity of ws's stage, else a stacked copy."""
-    x, y = ws.u
-    same = u.u_x.__array_interface__ == x.__array_interface__
-    if same and u.u_y.__array_interface__ == y.__array_interface__:
+    parts = (u.u_x, u.u_y)
+    if all(a.__array_interface__ == b.__array_interface__ for a, b in zip(parts, ws.u)):
         return ws.u
-    return np.stack((u.u_x, u.u_y))
+    return np.stack(parts)
 
 
 def divergence_residual(u, ws=None):
