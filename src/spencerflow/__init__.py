@@ -1,7 +1,15 @@
 """Lie-algebra/Spencer-complex kernels, a characteristic-line integrator, and a
 pseudo-spectral 2D Euler solver with conserved-invariant monitoring."""
 
+import json
+from importlib import resources
+
 __version__ = "0.1.0"
+
+
+def read_preset(filename):
+    """The JSON document of a bundled preset file, read as spencerflow package data."""
+    return json.loads((resources.files("spencerflow") / "presets" / filename).read_text())
 
 
 class CFLViolation(RuntimeError):

@@ -11,11 +11,10 @@ import math
 import os
 import sys
 from fractions import Fraction
-from importlib import resources
 
 import numpy as np
 
-from . import CFLViolation, NonFinite, cartan, euler2d, invariants, liealg, spencer
+from . import CFLViolation, NonFinite, cartan, euler2d, invariants, liealg, read_preset, spencer
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -265,9 +264,7 @@ def cmd_euler(args):
         doc = _load_json(args.config)
     else:
         name = "gaussian.json" if args.subcommand == "gaussian" else "appendix_d.json"
-        doc = json.loads(
-            resources.files("spencerflow.presets").joinpath(name).read_text()
-        )
+        doc = read_preset(name)
         if args.N is not None:
             doc["grid"]["N"] = args.N
         if args.t_end is not None:
@@ -533,45 +530,57 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def build_parser():
-    parser = _Parser(prog="spencerflow")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Command:
+    """A subparser built only when argv selects it: add_subparsers(parser_class=
+    _Command) passes add_parser's keywords here, and argparse calls
+    parse_known_args on the selected subparser alone."""
 
-    lie = sub.add_parser("lie")
-    lie_sub = lie.add_subparsers(dest="subcommand", required=True)
-    for name in ("verify", "cohomology", "betti", "delta"):
-        p = lie_sub.add_parser(name)
-        p.add_argument("--algebra", required=True)
-        if name == "cohomology":
-            p.add_argument("--p", type=int, default=0)
-            p.add_argument("--max-q", type=int, default=3)
-        if name == "betti":
-            p.add_argument("--base", required=True)
-            p.add_argument("--factor", choices=("sym", "whitehead"), default="sym")
-        if name == "delta":
-            p.add_argument("--kind", choices=("structural", "curvature"),
-                           default="structural")
-            p.add_argument("--tensor", required=True)
-            p.add_argument("--omega", default=None)
+    def __init__(self, command, **kwargs):
+        self.command, self.kwargs = command, kwargs
 
-    car = sub.add_parser("cartan")
-    car.add_argument("--config", required=True)
-    car.add_argument("--auto-ds", action="store_true")
+    def parse_known_args(self, args, namespace):
+        return build_parser(self.command, **self.kwargs).parse_known_args(args, namespace)
 
-    eul = sub.add_parser("euler")
-    eul_sub = eul.add_subparsers(dest="subcommand", required=True)
-    run = eul_sub.add_parser("run")
-    run.add_argument("--config", required=True)
-    for name in ("gaussian", "multivortex"):
-        p = eul_sub.add_parser(name)
+
+def build_parser(command=None, prog="spencerflow", **kwargs):
+    """The parser of a command or subcommand (None: the top parser). The
+    commands it names are _Commands; no two command names are equal."""
+    p = _Parser(prog=prog, **kwargs)
+    if command is None:
+        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+    names = {
+        None: ("lie", "cartan", "euler", "report"),
+        "lie": ("verify", "cohomology", "betti", "delta"),
+        "euler": ("run", "gaussian", "multivortex"),
+    }.get(command)
+    if names:
+        dest = "subcommand" if command else "command"
+        sub = p.add_subparsers(dest=dest, required=True, parser_class=_Command)
+        for name in names:
+            sub.add_parser(name, command=name)
+    elif command in ("cartan", "run"):
+        p.add_argument("--config", required=True)
+    elif command == "report":
+        p.add_argument("--csv", required=True)
+    elif command in ("gaussian", "multivortex"):
         p.add_argument("--N", type=int, default=None)
         p.add_argument("--t-end", type=float, default=None)
-
-    rep = sub.add_parser("report")
-    rep.add_argument("--csv", required=True)
-    return parser
+    else:  # a lie subcommand
+        p.add_argument("--algebra", required=True)
+    if command == "cartan":
+        p.add_argument("--auto-ds", action="store_true")
+    elif command == "cohomology":
+        p.add_argument("--p", type=int, default=0)
+        p.add_argument("--max-q", type=int, default=3)
+    elif command == "betti":
+        p.add_argument("--base", required=True)
+        p.add_argument("--factor", choices=("sym", "whitehead"), default="sym")
+    elif command == "delta":
+        p.add_argument("--kind", choices=("structural", "curvature"), default="structural")
+        p.add_argument("--tensor", required=True)
+        p.add_argument("--omega", default=None)
+    return p
 
 
 def main(argv=None):

@@ -6,12 +6,10 @@ Jacobi identity is *not* assumed, it is checkable via jacobi_residual.
 """
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 
-from . import _exact
+from . import _exact, read_preset
 
 PRESET_NAMES = ("su2", "so3", "sl2")
 
@@ -127,8 +125,7 @@ def preset(name):
         return make_algebra(n, [f"a{i+1}" for i in range(n)], [])
     if name not in PRESET_NAMES:
         raise KeyError(f"unknown algebra preset: {name!r}")
-    text = resources.files("spencerflow.presets").joinpath(f"{name}.json").read_text()
-    return from_json(json.loads(text))
+    return from_json(read_preset(f"{name}.json"))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,7 @@
 """Ten headline checks, one test per criterion. Run with `pytest -v` to get a
 single pass/fail line for each. Every tolerance is pinned in the assertion."""
 
-import json
 import math
-from importlib import resources
 
 import numpy as np
 
@@ -12,13 +10,8 @@ from spencerflow import cli
 from spencerflow import euler2d as eu
 from spencerflow import invariants as inv
 from spencerflow import liealg as la
+from spencerflow import read_preset
 from spencerflow import spencer as sp
-
-
-def _preset_doc(name):
-    return json.loads(
-        resources.files("spencerflow.presets").joinpath(name).read_text()
-    )
 
 
 def _report(tag, ok, detail):
@@ -127,7 +120,7 @@ def test_criterion_06_monopole():
 
 
 def _run_preset(name):
-    records, _ = cli.simulate(_preset_doc(name))
+    records, _ = cli.simulate(read_preset(name))
     report = inv.conservation_report(records)
     div_max = max(r.div_max for r in records)
     return records, report, div_max

@@ -853,6 +853,136 @@ class TestExitCodeBoundary:
         assert 0.0 < float(err[len(prefix):]) < 0.2  # the first step, not t=0 or t_end
 
 
+class TestParser:
+    """A run builds only the parsers on its command's path, and the parse
+    reads as it did when all twelve were built up front: the strings below
+    were recorded with that parser (Python 3.10 to 3.13.0, COLUMNS=80)."""
+
+    @pytest.mark.parametrize(
+        "argv, parsers, rc",
+        [
+            (["cartan", "--config", "absent.json"], 2, 3),
+            (["report", "--csv", "absent.csv"], 2, 3),
+            (["euler", "run", "--config", "absent.json"], 3, 3),
+            # not a preset and not a file: exit 1, from the command, not the parse
+            (["lie", "cohomology", "--algebra", "absent.json"], 3, 1),
+        ],
+        ids=["cartan", "report", "euler-run", "lie-cohomology"],
+    )
+    def test_a_run_builds_only_the_parsers_on_its_path(
+        self, capsys, monkeypatch, tmp_path, argv, parsers, rc
+    ):
+        built = []
+
+        class Counted(cli._Parser):
+            def __init__(self, **kwargs):
+                built.append(kwargs["prog"])
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (rc, "")
+        assert not err.startswith("config error: spencerflow")
+        assert len(built) == parsers, built
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["--help"],
+                "usage: spencerflow [-h] [--out OUT] [--json] {lie,cartan,euler,report} ...\n"
+                "\n"
+                "positional arguments:\n"
+                "  {lie,cartan,euler,report}\n"
+                "\n"
+                "options:\n"
+                "  -h, --help            show this help message and exit\n"
+                "  --out OUT             output directory\n"
+                "  --json                machine-readable output\n",
+            ),
+            (
+                ["lie", "--help"],
+                "usage: spencerflow lie [-h] {verify,cohomology,betti,delta} ...\n"
+                "\n"
+                "positional arguments:\n"
+                "  {verify,cohomology,betti,delta}\n"
+                "\n"
+                "options:\n"
+                "  -h, --help            show this help message and exit\n",
+            ),
+            (
+                ["lie", "cohomology", "--help"],
+                "usage: spencerflow lie cohomology [-h] --algebra ALGEBRA [--p P]\n"
+                "                                  [--max-q MAX_Q]\n"
+                "\n"
+                "options:\n"
+                "  -h, --help         show this help message and exit\n"
+                "  --algebra ALGEBRA\n"
+                "  --p P\n"
+                "  --max-q MAX_Q\n",
+            ),
+        ],
+        ids=["top", "lie", "lie-cohomology"],
+    )
+    def test_help_text(self, capsys, monkeypatch, argv, expected):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr() == (expected, "")
+
+    @pytest.mark.parametrize(
+        "argv, messages",
+        [
+            # argparse quotes the choices with repr() (Python 3.10 to 3.13.0)
+            # or prints them with str() (later patch releases, 3.13.13 among them)
+            (
+                ["bogus"],
+                [
+                    "spencerflow: argument command: invalid choice: 'bogus' "
+                    "(choose from 'lie', 'cartan', 'euler', 'report')",
+                    "spencerflow: argument command: invalid choice: 'bogus' "
+                    "(choose from lie, cartan, euler, report)",
+                ],
+            ),
+            (
+                ["lie", "bogus"],
+                [
+                    "spencerflow lie: argument subcommand: invalid choice: 'bogus' "
+                    "(choose from 'verify', 'cohomology', 'betti', 'delta')",
+                    "spencerflow lie: argument subcommand: invalid choice: 'bogus' "
+                    "(choose from verify, cohomology, betti, delta)",
+                ],
+            ),
+            ([], ["spencerflow: the following arguments are required: command"]),
+            (["euler"], ["spencerflow euler: the following arguments are required: subcommand"]),
+            (["--config=x"], ["spencerflow: the following arguments are required: command"]),
+            (
+                ["lie", "verify", "--algebra", "su2", "--json"],
+                ["spencerflow: unrecognized arguments: --json"],
+            ),
+        ],
+        ids=[
+            "invalid-command", "invalid-subcommand", "no-command", "no-subcommand",
+            "flag-before-command", "json-after-command",
+        ],
+    )
+    def test_parse_error_message(self, capsys, argv, messages):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err in [f"config error: {m}\n" for m in messages]
+
+    def test_a_unique_prefix_names_its_flag(self):
+        args = cli.build_parser().parse_args(
+            ["--js", "lie", "cohomology", "--alg", "su2", "--max", "6"]
+        )
+        assert vars(args) == {
+            "out": None, "json": True, "command": "lie", "subcommand": "cohomology",
+            "algebra": "su2", "p": 0, "max_q": 6,
+        }
+
+
 class TestModuleEntry:
     @staticmethod
     def run_python(*args):
@@ -869,6 +999,27 @@ class TestModuleEntry:
         proc = self.run_module("--json", "lie", "cohomology", "--algebra", "su2")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["dims"] == [1, 0, 0, 1]
+
+    def test_python_m_help_lists_the_commands(self):
+        proc = self.run_module("--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "{lie,cartan,euler,report}" in proc.stdout
+
+    def test_presets_are_read_as_package_data(self, tmp_path):
+        # importing presets/ as a namespace package costs a first read about
+        # 0.3 ms; the files are data of the spencerflow package
+        cfg = TestCartan.write_config(tmp_path / "c.json", s_end=0.1)
+        proc = self.run_python(
+            "-c",
+            "import sys\n"
+            "from spencerflow import cli\n"
+            "assert cli.main(['cartan', '--config', sys.argv[1]]) == 0\n"
+            "assert cli.main(['euler', 'gaussian', '--N', '16', '--t-end', '0.01']) == 0\n"
+            "print('spencerflow.presets' in sys.modules)\n",
+            str(cfg),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_import_loads_no_executor_modules(self):
         # concurrent.futures adds 10-13 ms and queue about 2 ms to start-up;

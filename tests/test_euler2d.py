@@ -9,7 +9,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from spencerflow import cartan as ca
 from spencerflow import cli
 from spencerflow import euler2d as eu
 from spencerflow import invariants as inv
+from spencerflow import read_preset
 
 
 @pytest.fixture(scope="module")
@@ -716,9 +716,7 @@ class TestGaussianInitialData:
         # the offsets are 1-D, so the field and one N x N term are its only
         # grid-sized arrays (1.19 MB at N = 256); the meshgrid form made about
         # six (3.67 MB)
-        doc = json.loads(
-            resources.files("spencerflow.presets").joinpath("appendix_d.json").read_text()
-        )
+        doc = read_preset("appendix_d.json")
         grid, vortices, *_ = cli.load_euler_config(doc)
         assert grid.N == 256
         args = zip(*[((x, y), alpha, sigma) for x, y, alpha, sigma in vortices])
