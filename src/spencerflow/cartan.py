@@ -101,7 +101,7 @@ def cfl_bound(M):
 
 
 SCHEMES = ("euler_paper", "rk4")
-CHUNK = 256  # steps whose generators integrate builds at once
+CHUNK = 512  # steps that integrate and residual_profile take at once
 SHRINK = 0.5  # a window ends at its first row below this part of its start
 
 
@@ -166,7 +166,7 @@ def _advance(lam, h, G, norm):
     at its first row whose norm falls below SHRINK |u|, which starts the next
     one; the next window is twice the rows kept, and after a full window it
     doubles. The CFL gate keeps h ||G||_inf below e - 1, so a window of at
-    most CHUNK steps has ||E||_inf < e^CHUNK < 2^370 and E stays finite.
+    most CHUNK steps has ||E||_inf < e^512 < 2^739 and E stays finite.
     With a norm, each row is rescaled to it, which is what a per-step rescale
     to the norm of the row before comes to on a linear recursion; the norms
     are taken on the scaled rows, so they do not overflow either."""
@@ -235,14 +235,14 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
     shortened to land on s_end exactly). Returns arrays s, x and lambda of
     shapes (n+1,), (n+1, k) and (n+1, dim), one row per state.
 
-    The base-point path x_n = x_0 + sum h_i v does not depend on lambda, so
-    A.v and its generator M are built at every state (and, for rk4, every
-    midpoint), and the CFL gate h ||M||_inf < 1 is checked on every M the
-    scheme samples before the lambda recursion starts; the first step is
-    checked at the origin before the path is built.
-    The recursion is linear, so each step multiplies lambda by I + h G with
-    one generator G per step (see _generators), built CHUNK steps at a time;
-    _advance scans the products of each chunk.
+    The base-point path x_n = x_0 + sum h_i v does not depend on lambda, and
+    each step multiplies lambda by I + h G with one generator G per step (see
+    _generators). The steps run CHUNK at a time, so memory beyond the outputs
+    is O(CHUNK d^2). A chunk builds A.v and its generator M at its states (and
+    rk4's midpoints) and checks the CFL gate h ||M||_inf < 1 on every M the
+    scheme samples before _advance scans its products, which keeps a window
+    below e^CHUNK = e^512 < 2^739; the first step is checked at the origin
+    before the path is built, the first violating step before its chunk.
     Overflow is not reported by numpy here: a base point or a lambda that
     leaves float64 raises the gate instead."""
     if scheme not in SCHEMES:
@@ -264,22 +264,20 @@ def integrate(g, lam0, A, v, ds, s_end, scheme="rk4", renormalize=False):
     x = np.cumsum(np.concatenate([np.zeros((1, len(v))), np.multiply.outer(h, v)]), axis=0)
     finite_gate(x, s, "the base point leaves float64 at s={s}")
 
-    M = rhs_generator(C, A.contract(x, v))
-    at_states = cfl_bound(M)
-    M_mid, bound = M[:-1], at_states[:-1]  # euler_paper samples each step's start
-    if scheme == "rk4":  # and rk4 its midpoint and end as well
-        M_mid = rhs_generator(C, A.contract(x[:-1] + np.multiply.outer(h / 2, v), v))
-        bound = np.minimum(np.minimum(bound, cfl_bound(M_mid)), at_states[1:])
-    _gate(h, bound)
-
     lam0 = _floats(lam0)
     lam = np.empty((len(s), len(lam0)))
     lam[0] = lam0
     norm = math.hypot(*lam0) if renormalize else None
     for n in range(0, len(h), CHUNK):
-        end = min(n + CHUNK, len(h))
-        G = _generators(h[n:end], M[n:end], M_mid[n:end], M[n + 1 : end + 1], scheme)
-        _advance(lam[n : end + 1], h[n:end], G, norm)
+        hc, xc = h[n : n + CHUNK], x[n : n + CHUNK + 1]  # a chunk's steps and states
+        M = rhs_generator(C, A.contract(xc, v))
+        at_states = cfl_bound(M)
+        M_mid, bound = M[:-1], at_states[:-1]  # euler_paper samples each step's start
+        if scheme == "rk4":  # and rk4 its midpoint and end as well
+            M_mid = rhs_generator(C, A.contract(xc[:-1] + np.multiply.outer(hc / 2, v), v))
+            bound = np.minimum(np.minimum(bound, cfl_bound(M_mid)), at_states[1:])
+        _gate(hc, bound)
+        _advance(lam[n : n + CHUNK + 1], hc, _generators(hc, M[:-1], M_mid, M[1:], scheme), norm)
     finite_gate(lam, s, "non-finite state after the step to s={s}")
     return s, x, lam
 
@@ -297,19 +295,21 @@ def finite_gate(values, s, message):
 def residual_profile(g, A, v, s, x, lam):
     """Central-difference residual max_a |dlambda_a/ds - (M(x) lambda)_a| of the
     transport equation at each row of a characteristic (s, x, lambda), with
-    M = rhs_generator(g, A.v(x)). It reads 0 at the two ends and at a state
-    whose neighbours are not equally spaced in s (the final, shortened step);
-    spacings that differ only by the rounding of s count as equal. The max
-    over a is d - 1 np.maximum passes over the columns, whole rows at once."""
-    h, hm = s[2:] - s[1:-1], s[1:-1] - s[:-2]
-    tol = 1e-12 * np.maximum(h, hm) + 2 * np.spacing(np.abs(s[2:]))
-    uneven = (h <= 0) | (np.abs(h - hm) > tol)
-    M = rhs_generator(g, A.contract(x[1:-1], v))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        dlam = (lam[2:] - lam[:-2]) / (2 * h[:, None])
-        inner = functools.reduce(np.maximum, np.abs(dlam - (M @ lam[1:-1, :, None])[..., 0]).T)
-    resid = np.zeros(len(s))
-    resid[1:-1] = np.where(uneven, 0.0, inner)
+    M = rhs_generator(g, A.v(x)), taken CHUNK rows at a time. It reads 0 at the
+    two ends and at a state whose neighbours are not equally spaced in s (the
+    final, shortened step); spacings that differ only by the rounding of s
+    count as equal. The max over a is d - 1 np.maximum passes over columns."""
+    C, resid = _structure_tensor(g), np.zeros(len(s))
+    for n in range(0, len(s) - 2, CHUNK):
+        sc, lc, xc = (a[n : n + CHUNK + 2] for a in (s, lam, x))  # CHUNK rows and one each side
+        h, hm = sc[2:] - sc[1:-1], sc[1:-1] - sc[:-2]
+        tol = 1e-12 * np.maximum(h, hm) + 2 * np.spacing(np.abs(sc[2:]))
+        uneven = (h <= 0) | (np.abs(h - hm) > tol)
+        M = rhs_generator(C, A.contract(xc[1:-1], v))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            dlam = (lc[2:] - lc[:-2]) / (2 * h[:, None])
+            inner = functools.reduce(np.maximum, np.abs(dlam - (M @ lc[1:-1, :, None])[..., 0]).T)
+        resid[n + 1 : n + 1 + len(h)] = np.where(uneven, 0.0, inner)
     return resid
 
 

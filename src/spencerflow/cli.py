@@ -387,13 +387,13 @@ def cmd_cartan(args):
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "trajectory.csv")
-        with open(path, "w") as fh:
+        with open(os.path.join(args.out, "trajectory.csv"), "w") as fh:
             fh.write(
                 "s," + ",".join(f"lambda_{i}" for i in range(g.dim)) + ",norm,residual_estimate\n"
             )
-            for row in np.column_stack([s, lam, norms, resid]).tolist():
-                fh.write(",".join(map(_fmt, row)) + "\n")
+            for n in range(0, len(s), cartan.CHUNK):  # as Python floats one block at a time
+                rows = np.column_stack([a[n : n + cartan.CHUNK] for a in (s, lam, norms, resid)])
+                fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows.tolist())
 
     lines = [
         f"final lambda: {summary['final_lambda']}",

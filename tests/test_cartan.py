@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,6 +464,56 @@ def test_chunk_boundaries_keep_the_bits(su2, scheme):
     assert_matches_reference(got, want)
 
 
+def residual_whole_path(g, A, v, s, x, lam):
+    """residual_profile's per-row formulas, taken on the whole path at once."""
+    h, hm = s[2:] - s[1:-1], s[1:-1] - s[:-2]
+    tol = 1e-12 * np.maximum(h, hm) + 2 * np.spacing(np.abs(s[2:]))
+    uneven = (h <= 0) | (np.abs(h - hm) > tol)
+    M = ca.rhs_generator(g, A.contract(x[1:-1], v))
+    dlam = (lam[2:] - lam[:-2]) / (2 * h[:, None])
+    resid = np.zeros(len(s))
+    resid[1:-1] = np.where(uneven, 0.0, np.max(np.abs(dlam - (M @ lam[1:-1, :, None])[..., 0]), 1))
+    return resid
+
+
+@pytest.mark.parametrize("states", [ca.CHUNK - 1, ca.CHUNK, ca.CHUNK + 1, 2 * ca.CHUNK + 3])
+@pytest.mark.parametrize("scheme", ca.SCHEMES)
+def test_residual_profile_keeps_the_bits_of_the_whole_path(states, scheme):
+    # residual_profile takes the rows CHUNK at a time; each residual must be
+    # the whole-path formula's, bit for bit, on either side of a chunk end,
+    # at a state whose connection varies along two directions, and at the
+    # shortened last step (which reads 0)
+    g, lam0 = la.preset("sl2"), la.DualVector(unit((1.0, 2.0, -0.5)))
+    a, b = np.array(unit((0.3, -0.5, 0.8))), np.array(unit((0.7, 0.2, -0.4)))
+    A = ca.ConnectionSampler(3, lambda x, mu: a + b * np.sin(3 * x[:, mu : mu + 1]))
+    v, ds = (1.0, 0.5), 1e-3
+    s, x, lam = ca.integrate(g, lam0, A, v, ds, (states - 1.5) * ds, scheme)
+    assert len(s) == states and s[-1] - s[-2] < 0.9 * ds
+    want = residual_whole_path(g, A, v, s, x, lam)
+    assert np.all(want[1:-2] > 0) and want[-2] == 0
+    assert_same_bits(ca.residual_profile(g, A, v, s, x, lam), want)
+    grid = np.arange(len(lam)) * ds
+    want = np.max(residual_whole_path(g, A, (1.0,), grid, grid[:, None], lam))
+    assert ca.cartan_residual(g, A, list(lam), ds) == want
+
+
+def test_integrate_and_residual_allocate_little_beyond_their_outputs(su2):
+    # 50 000 rk4 steps: the generators of a chunk are O(CHUNK d^2), so the
+    # peak stays near the bytes of s, x, lambda and the residual; whole-path
+    # (n, d, d) stacks of M and M_mid would take it to 4.5 times those bytes
+    A = ca.ConnectionSampler.constant(la.LieVector(unit((0.3, -0.5, 0.8))))
+    lam0, ds = la.DualVector(unit((1.0, 2.0, -0.5))), 2.0**-14
+    tracemalloc.start()
+    try:
+        s, x, lam = ca.integrate(su2, lam0, A, (1.0,), ds, 50_000 * ds, "rk4")
+        resid = ca.residual_profile(su2, A, (1.0,), s, x, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 50_001
+    assert peak < 2 * (s.nbytes + x.nbytes + lam.nbytes + resid.nbytes)
+
+
 def test_integrate_rejects_an_unknown_scheme_before_any_work(su2):
     calls = []
 
@@ -533,8 +584,8 @@ def axis_algebra(k):
 def test_step_products_that_pass_float64_leave_lambda_finite(scheme, lam, renorm):
     # [x_i, y] = y for i = 1..5 and A.v = -9.9 sum x_i, so M_yy = 49.5. At
     # ds = 0.1, ds times the largest term |C^c_ba (A.v)^b| = 9.9 is 0.99, but
-    # ds ||M||_inf is 4.95: rk4 would multiply y by 63 a step, and a 256-step
-    # chunk's products would pass float64. The gate refuses that step; at
+    # ds ||M||_inf is 4.95: rk4 would multiply y by 63 a step, and a chunk's
+    # products would pass float64. The gate refuses that step; at
     # half its bound the scan follows the reference loop.
     g, a = axis_algebra(5), la.LieVector((-9.9,) * 5 + (0.0,))
     args = (g, la.DualVector(lam), ca.ConnectionSampler.constant(a), (1.0,))
@@ -675,9 +726,11 @@ def test_rk4_stays_on_the_coadjoint_orbit(name, a, lam, ds, s_end):
 
 @pytest.mark.parametrize("scheme", ["euler_paper", "rk4"])
 def test_integrate_step_and_sample_counts(monkeypatch, su2, scheme):
-    # integrate builds the step generators CHUNK steps at a time and samples
-    # the connection once per direction at the origin (the first step's gate),
-    # then once per direction over the whole path.
+    # integrate samples the connection once per direction at the origin (the
+    # first step's gate), then takes the steps CHUNK at a time: each chunk
+    # samples once per direction at its states, and once more at rk4's
+    # midpoints, and builds its step generators. No call sees more than
+    # CHUNK + 1 rows, so no array spans the whole path.
     chunks, calls = [], []
     real_generators = ca._generators
 
@@ -690,18 +743,60 @@ def test_integrate_step_and_sample_counts(monkeypatch, su2, scheme):
         return np.array(E3.coeffs)
 
     monkeypatch.setattr(ca, "_generators", counting_generators)
-    v = (1.0, 0.5)
-    s, x, _ = ca.integrate(su2, LAM0, ca.ConnectionSampler(3, sample), v, 0.001, 0.5005, scheme)
-    assert chunks == [ca.CHUNK, len(s) - 1 - ca.CHUNK]
-    # one call per direction at the origin and at the states, and one more
-    # at the midpoints for rk4
-    assert len(calls) == len(v) * (2 + (scheme == "rk4"))
+    v, k, ds = (1.0, 0.5), 7, 2.0**-10  # ds and s_end exact: no shortened step
+    A = ca.ConnectionSampler(3, sample)
+    s, x, _ = ca.integrate(su2, LAM0, A, v, ds, (2 * ca.CHUNK + k) * ds, scheme)
+    assert len(s) == 2 * ca.CHUNK + k + 1
+    assert chunks == [ca.CHUNK, ca.CHUNK, k]
+    per_chunk = len(v) * (1 + (scheme == "rk4"))
+    assert len(calls) == len(v) + 3 * per_chunk
     for points in calls[: len(v)]:
         assert np.array_equal(points, np.zeros((1, len(v))))
-    for points in calls[len(v) : 2 * len(v)]:
-        assert np.array_equal(points, x)
-    for points in calls[2 * len(v) :]:
-        assert np.allclose(points, (x[:-1] + x[1:]) / 2, rtol=0, atol=1e-15)
+    states, midpoints = [], []
+    for c in range(3):
+        group = calls[len(v) + c * per_chunk : len(v) + (c + 1) * per_chunk]
+        assert all(len(points) <= ca.CHUNK + 1 for points in group)
+        for points in group[1 : len(v)]:  # every direction sees the same rows
+            assert np.array_equal(points, group[0])
+        states.append(group[0])
+        midpoints += group[len(v) : len(v) + 1]
+    # each chunk starts at the last state of the one before, and together
+    # they cover every state and every midpoint in path order
+    for before, after in zip(states, states[1:]):
+        assert np.array_equal(before[-1], after[0])
+    assert np.array_equal(np.concatenate([states[0]] + [c[1:] for c in states[1:]]), x)
+    if scheme == "rk4":
+        assert np.allclose(np.concatenate(midpoints), (x[:-1] + x[1:]) / 2, rtol=0, atol=1e-15)
+
+
+def late_violation_sampler(x_b):
+    """A.v = (c, 0, 0) on sl2, where M = diag(0, -2c, 2c): c = 1 below the
+    base point x_b and 100 x from x_b on, so the CFL bound 1 / (200 x) of each
+    step past x_b is smaller than that of the step before."""
+    return ca.ConnectionSampler(
+        3, lambda x, mu: np.where(x[:, :1] >= x_b, 100 * x[:, :1], 1.0) * np.array([1.0, 0, 0])
+    )
+
+
+@pytest.mark.parametrize("scheme", ca.SCHEMES)
+def test_a_late_violation_is_gated_after_lambda_leaves_float64(scheme):
+    # lambda_f = 1e306 grows as e^(2s) and leaves float64 in the first chunk,
+    # and the first step past its bound lies in the third. The chunk that
+    # holds that step raises the gate before its lambda recursion, with the
+    # message of a gate taken on the whole path before any lambda work: the
+    # first violating step's bound, not a later one's and not the non-finite
+    # state.
+    g, ds, lam0 = la.preset("sl2"), 1 / 128, la.DualVector((0.0, 0.0, 1e306))
+    x_b = (2 * ca.CHUNK + 40) * ds
+    A = late_violation_sampler(x_b)
+    with pytest.raises(ca.CFLViolation, match=r"^non-finite state after the step to s="):
+        ca.integrate(g, lam0, A, (1.0,), ds, ca.CHUNK * ds, scheme)
+    with pytest.raises(ca.CFLViolation) as info:
+        ca.integrate(g, lam0, A, (1.0,), ds, 3 * ca.CHUNK * ds, scheme)
+    assert str(info.value) == (
+        f"step size {ds} >= stability bound {1 / (200 * x_b)} (ds * ||M||_inf must stay "
+        "below 1); rerun with --auto-ds or a smaller ds"
+    )
 
 
 def test_a_first_step_past_the_bound_is_gated_before_the_path_is_built(su2):

@@ -273,6 +273,57 @@ class TestCartan:
         assert (rc, err) == (0, "")
         assert out.startswith("final lambda: ")
 
+    @pytest.mark.parametrize("scheme", cartan.SCHEMES)
+    def test_a_late_violation_after_lambda_leaves_float64_is_gate_exit(
+        self, capsys, monkeypatch, tmp_path, scheme
+    ):
+        # On sl2 with A.v = (c, 0, 0), lambda_f = 1e306 grows as e^(2cs) and
+        # leaves float64 in the first chunk at c = 1; from the state
+        # 2 CHUNK + 40 on, c = 100 x, so the first step past its bound lies in
+        # the third chunk. That step's gate is the exit, as when every step
+        # was gated before any lambda work.
+        ds = 1 / 128
+        x_b = (2 * cartan.CHUNK + 40) * ds
+        varying = cartan.ConnectionSampler(
+            3, lambda x, mu: np.where(x[:, :1] >= x_b, 100 * x[:, :1], 1.0) * np.array([1.0, 0, 0])
+        )
+        monkeypatch.setattr(cartan.ConnectionSampler, "constant", lambda a: varying)
+        cfg = self.write_config(
+            tmp_path / "c.json", algebra="sl2", lambda0=[0.0, 0.0, 1e306], ds=ds,
+            s_end=3 * cartan.CHUNK * ds, scheme=scheme,
+        )
+        rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"numerical gate: step size {ds} >= stability bound {1 / (200 * x_b)} "
+            "(ds * ||M||_inf must stay below 1); rerun with --auto-ds or a smaller ds\n"
+        )
+        cfg = self.write_config(
+            tmp_path / "c.json", algebra="sl2", lambda0=[0.0, 0.0, 1e306], ds=ds,
+            s_end=cartan.CHUNK * ds, scheme=scheme,
+        )
+        rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("numerical gate: non-finite state after the step to s=")
+
+    def test_the_trajectory_csv_is_the_whole_array_formatted(self, capsys, tmp_path):
+        # the CSV is written CHUNK rows at a time; over three chunks, ending
+        # on a shortened step, its bytes are those of formatting the whole
+        # (s, lambda, norm, residual) array at once
+        cfg = self.write_config(tmp_path / "c.json", s_end=(2 * cartan.CHUNK + 100.5) * 1e-3)
+        outdir = tmp_path / "out"
+        rc, _, _ = run_cli(capsys, ["--out", str(outdir), "cartan", "--config", str(cfg)])
+        assert rc == 0
+        g, A, lam0, v, *run = cli.load_cartan_config(json.loads(cfg.read_text()))
+        s, x, lam = cartan.integrate(g, lam0, A, v, *run)
+        resid = cartan.residual_profile(g, A, v, s, x, lam)
+        rows = np.column_stack([s, lam, np.linalg.norm(lam, axis=1), resid]).tolist()
+        assert len(rows) == 2 * cartan.CHUNK + 102
+        want = "s,lambda_0,lambda_1,lambda_2,norm,residual_estimate\n" + "".join(
+            ",".join(map(cli._fmt, row)) + "\n" for row in rows
+        )
+        assert (outdir / "trajectory.csv").read_bytes() == want.encode()
+
     def test_a_step_shortened_below_the_bound_passes(self, capsys, tmp_path):
         # ds = 2.0 is above the bound 1.0, but s_end = 0.5 makes the one step
         # taken 0.5, the same step that --auto-ds (ds = 0.5) takes
@@ -401,7 +452,7 @@ class TestCartan:
     def test_a_file_algebra_whose_step_products_pass_float64_runs(
         self, capsys, tmp_path, scheme, lambda0, renormalize
     ):
-        # the step gate reads ||M||_inf, so the steps whose 256-step products
+        # the step gate reads ||M||_inf, so the steps whose CHUNK-step products
         # passed float64 no longer run; ad(x_i) is not skew, so renormalize is
         # refused before any step (test_cartan.py gates the renormalized run)
         cfg = self.write_decaying_axis_config(
