@@ -290,14 +290,13 @@ def cmd_euler(args):
 
 
 def _not_skew(g):
-    """The first (a, b, c) with C^c_ba != -C^a_bc, read from g.ad; None when
-    every ad_{e_b} is skew, the one case in which the flow keeps |lambda|."""
-    for b, ad_b in enumerate(g.ad):
-        entries = {(c, a): v for a, ad_ba in enumerate(ad_b) for c, v in ad_ba}
-        for (c, a), v in entries.items():
-            if entries.get((a, c), 0) != -v:
-                return a, b, c
-    return None
+    """The first (a, b, c) with C^c_ba != -C^a_bc; None when every ad_{e_b}
+    is skew, the one case in which the flow keeps |lambda|."""
+    C, r = g.structure_constants, range(g.dim)
+    return next(
+        ((a, b, c) for b in r for a in r for c in r if C[b][a][c] and C[b][a][c] != -C[b][c][a]),
+        None,
+    )
 
 
 def load_cartan_config(doc):
@@ -391,9 +390,9 @@ def cmd_cartan(args):
             fh.write(
                 "s," + ",".join(f"lambda_{i}" for i in range(g.dim)) + ",norm,residual_estimate\n"
             )
-            for n in range(0, len(s), cartan.CHUNK):  # as Python floats one block at a time
+            for n in range(0, len(s), cartan.CHUNK):  # one block at a time
                 rows = np.column_stack([a[n : n + cartan.CHUNK] for a in (s, lam, norms, resid)])
-                fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows.tolist())
+                np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
 
     lines = [
         f"final lambda: {summary['final_lambda']}",
@@ -603,7 +602,3 @@ def main(argv=None):
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

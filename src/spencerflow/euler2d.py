@@ -110,26 +110,28 @@ class VorticityField:
 
 @dataclass(frozen=True)
 class VelocityField:
+    """The grid velocity: values is the 2 x N x N float64 array (u_x, u_y),
+    values[:, i, j] = u(x_i, y_j). The values of the velocity a stage returns
+    are its workspace's ws.u itself, valid until the next stage given ws."""
+
     grid: GridSpec
-    u_x: np.ndarray
-    u_y: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u_x", np.asarray(self.u_x, dtype=np.float64))
-        object.__setattr__(self, "u_y", np.asarray(self.u_y, dtype=np.float64))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
     def max_speed(self, ws=None):
         """max(hypot(u_x, u_y)) bit for bit: hypot runs where u_x² + u_y² is within 1e-12
         of its max (far above either's rounding), everywhere if that max is 0, tiny or inf.
-        With a workspace ws, u_x² and u_y² are written to ws.planes, the float views
-        of the two halves of ws.rows, and are spent when it returns."""
-        sq = (None, None) if ws is None else ws.planes
+        The squares of both components are one multiply, with a workspace ws into
+        ws.planes, the float views of the two halves of ws.rows, spent when it returns."""
+        u_x, u_y = self.values
         with np.errstate(over="ignore"):
-            s = np.multiply(self.u_x, self.u_x, out=sq[0])
-            s += np.multiply(self.u_y, self.u_y, out=sq[1])
+            s, sq = np.multiply(self.values, self.values, out=None if ws is None else ws.planes)
+            s += sq
         m = s.max()
         near = s >= m * (1 - 1e-12) if 1e-290 < m < math.inf else ...
-        return float(np.max(np.hypot(self.u_x[near], self.u_y[near])))
+        return float(np.max(np.hypot(u_x[near], u_y[near])))
 
     def cfl_dt(self, ws=None):
         """Advective step bound dt <= 0.5 * dx / max|u|; +inf for a still field.
@@ -224,18 +226,16 @@ def velocity_from_vorticity(zeta):
     return stage(zeta.grid, zeta.spectrum(), NO_POINTS)[1]
 
 
-def _fold(grid, fhat, coef=None):
+def _fold(grid, fhat, coef):
     """The coefficients of _MarkerSum: rows (m, cos | sin), columns (field,
     ky, Re | -Im) of the folded sum, as a (2n, 2n len(fhat)) float array,
-    written through the (n, 2, len(fhat), n) complex array coef if given."""
+    written through the (n, 2, len(fhat), n) complex array coef."""
     n = grid.band  # the band is |kx|, ky <= n - 1
     m = np.arange(n)
     # a ky > 0 column also stands for its conjugate mirror (x2); the kx = 0 row
     # meets itself in pos + neg below, so it is halved
     w = np.where(m > 0, 2.0, 1.0)
     w = np.outer(w, w) / (2.0 * grid.N**2)
-    if coef is None:
-        coef = np.empty((n, 2, len(fhat), n), dtype=complex)
     for i, f in enumerate(fhat):
         pos = np.multiply(f[:n, :n], w, out=coef[:, 0, i])
         neg = f[-m, :n] * w
@@ -271,11 +271,11 @@ class _MarkerSum:
     in a stage the helper takes blocks from the front while the caller does
     the grid FFTs, then the caller takes the rest from the back. deque pops
     are atomic, so each block runs once. Whichever thread first needs the
-    folded coefficients computes them, into the buffer buf when one is
-    given; the other waits. Once values() returns, neither thread touches
-    buf again."""
+    folded coefficients computes them, into the (n, 2, len(fhat), n) complex
+    buffer buf (n = grid.band); the other waits. Once values() returns,
+    neither thread touches buf again."""
 
-    def __init__(self, grid, fhat, points, buf=None):
+    def __init__(self, grid, fhat, points, buf):
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         if not np.all(np.isfinite(pts)):
             raise NonFinite("non-finite evaluation point")
@@ -368,13 +368,14 @@ def stage(grid, zhat, points, ws=None):
     """The RK4 stage kernel. For the vorticity band spectrum zhat and the
     (P, 2) marker points, from one psi inversion of the dealiased field: the
     tendency band spectrum of -(u . grad) zeta, dealiased and with its mean
-    mode zero; the velocity on the grid; the (P, 2) velocity at the points.
+    mode zero; the grid velocity, a VelocityField whose values is ws.u itself;
+    the (P, 2) velocity at the points.
     For divergence-free u the tendency is Basdevant's
     (kx^2 - ky^2) F[u_x u_y] + kx ky F[u_y^2 - u_x^2] (J. Comput. Phys. 50,
     1983): 2 inverse and 2 forward band transforms, whose products' rounding
     is scaled by k^2. The work is done in the workspace ws, a new one if
-    None; the tendency and the grid velocity are its arrays, so they hold
-    until the next stage given ws.
+    None; the tendency is ws.out and the grid velocity's values ws.u, so
+    they hold until the next stage given ws.
     From N = OVERLAP_N up and with two CPUs or more, the helper thread takes
     blocks of the marker sum from the front while this thread does the FFTs;
     then this thread takes the blocks left, from the last one back."""
@@ -392,19 +393,19 @@ def stage(grid, zhat, points, ws=None):
     try:
         for f, values in zip(uhat, ws.u):
             _band_inverse(f, values, ws.scratch)
-        u = VelocityField(grid, *ws.u)
+        u_x, u_y = ws.u
         prod, sq = ws.planes
-        np.multiply(u.u_x, u.u_y, out=prod)
+        np.multiply(u_x, u_y, out=prod)
         out = _band_forward(prod, grid.band, ws.out, ws.rows[1])
         out *= ws.diff
-        np.multiply(u.u_y, u.u_y, out=prod)
-        prod -= np.multiply(u.u_x, u.u_x, out=sq)
+        np.multiply(u_y, u_y, out=prod)
+        prod -= np.multiply(u_x, u_x, out=sq)
         sq_hat = _band_forward(prod, grid.band, ws.scratch, ws.rows[1])
         sq_hat *= ws.cross
         out += sq_hat
     finally:
         p = markers.values()
-    return out, u, p
+    return out, VelocityField(grid, ws.u), p
 
 
 NO_POINTS = np.empty((0, 2))

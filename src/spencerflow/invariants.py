@@ -56,28 +56,17 @@ def _spare(buf, like, dtype=complex):
     return buf.reshape(-1).view(dtype)[: like.size].reshape(like.shape)
 
 
-def _stacked(u, ws):
-    """u's components as one (2, N, N) array: ws.u itself when they are its
-    planes, as for the velocity of ws's stage, else a stacked copy."""
-    parts = (u.u_x, u.u_y)
-    if all(a.__array_interface__ == b.__array_interface__ for a, b in zip(parts, ws.u)):
-        return ws.u
-    return np.stack(parts)
-
-
 def divergence_residual(u, ws=None):
     """max over modes of |k . u_hat| normalized by the largest mode magnitude.
-    With a workspace ws, u_hat of both components is one stacked rfft2 into
-    the two halves of ws.rows, the bits of two calls, and the magnitudes are
-    written to ws.coef and ws.scratch; all are spent when it returns."""
+    u_hat of both components is one stacked rfft2 of u.values, the bits of
+    two calls. With a workspace ws it goes into the two halves of ws.rows and
+    the magnitudes into ws.coef and ws.scratch; all are spent when it returns."""
     kx, ky = u.grid.wavenumbers()
-    if ws is None:
-        ux_hat, uy_hat = np.fft.rfft2(u.u_x), np.fft.rfft2(u.u_y)
-        mag_x, mag_y = np.abs(ux_hat), np.abs(uy_hat)
-    else:
-        ux_hat, uy_hat = np.fft.rfft2(_stacked(u, ws), out=ws.rows)
-        mag_x = np.abs(ux_hat, out=_spare(ws.coef, ux_hat, float))
-        mag_y = np.abs(uy_hat, out=_spare(ws.scratch, ux_hat, float))
+    ux_hat, uy_hat = np.fft.rfft2(u.values, out=None if ws is None else ws.rows)
+    mags = (
+        (None, None) if ws is None else [_spare(b, ux_hat, float) for b in (ws.coef, ws.scratch)]
+    )
+    mag_x, mag_y = np.abs(ux_hat, out=mags[0]), np.abs(uy_hat, out=mags[1])
     scale = float(np.max(np.hypot(mag_x, mag_y, out=mag_x)))
     if scale == 0.0:
         return 0.0

@@ -41,9 +41,6 @@ class SymTensor:
             terms[idx] = terms.get(idx, 0) + c
         return SymTensor(self.dim, self.degree, terms)
 
-    def __sub__(self, other):
-        return self + (-1) * other
-
     def __rmul__(self, scalar):
         return SymTensor(
             self.dim, self.degree, {i: scalar * c for i, c in self.terms.items()}

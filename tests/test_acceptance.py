@@ -189,8 +189,8 @@ def test_criterion_09_solver_properties():
     bl = np.fft.irfft2(eu.VorticityField(grid, raw).spectrum(), s=raw.shape)
     u = eu.velocity_from_vorticity(eu.VorticityField(grid, bl))
     kx, ky = grid.wavenumbers()
-    div = np.abs(kx * np.fft.rfft2(u.u_x) + ky * np.fft.rfft2(u.u_y))
-    scale = np.max(np.abs(np.fft.rfft2(u.u_x))) + np.max(np.abs(np.fft.rfft2(u.u_y)))
+    div = np.abs(kx * np.fft.rfft2(u.values[0]) + ky * np.fft.rfft2(u.values[1]))
+    scale = np.max(np.abs(np.fft.rfft2(u.values[0]))) + np.max(np.abs(np.fft.rfft2(u.values[1])))
     divfree = float(np.max(div) / scale)
 
     ok = steady <= 1e-10 and order >= 3.7 and roundtrip <= 1e-13 and divfree <= 1e-13

@@ -246,6 +246,12 @@ class TestResidual:
         with pytest.raises(ValueError):
             ca.cartan_residual(su2, A, [la.DualVector((1.0, 0.0, 0.0))] * 2, 0.1)
 
+    def test_zero_spacing_rejected(self, su2):
+        A = ca.ConnectionSampler.constant(E3)
+        with pytest.raises(ValueError, match="^grid spacing must be positive$") as exc:
+            ca.cartan_residual(su2, A, [LAM0] * 3, 0.0)
+        assert exc.type is ValueError
+
     def test_non_finite_sample_rejected(self, su2):
         A = ca.ConnectionSampler.constant(E3)
         samples = [LAM0, la.DualVector((math.nan, 0.0, 0.0)), LAM0]

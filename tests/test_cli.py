@@ -173,9 +173,11 @@ class TestLie:
             ({"dim": 3, "labels": ["a", "b", "c"], "constants": [[0, 1, 2, 1]]},
              "expected [a, b, c, numerator, denominator]"),
             ({"dim": "3", "labels": ["a", "b", "c"], "constants": []}, "positive int"),
+            ({"dim": 3, "labels": ["a", "b"], "constants": []},
+             "need one label per basis element"),
         ],
         ids=["not-object", "missing-key", "labels-not-list", "constants-not-list",
-             "short-constant", "string-dim"],
+             "short-constant", "string-dim", "label-count"],
     )
     def test_malformed_algebra_document_is_config_error(self, capsys, tmp_path, doc, message):
         path = tmp_path / "algebra.json"
@@ -381,6 +383,22 @@ class TestCartan:
         assert rc == 1
         assert out == ""
         assert err.startswith(f"config error: {field} must be")
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"connection": {"preset": "x"}}, "unknown connection preset 'x'"),
+            ({"connection": {"preset": "constant", "params": {"a": [0.0, 1.0]}}},
+             "connection dimension does not match the algebra"),
+            ({"lambda0": [1.0, 0.0]}, "lambda0 length does not match the algebra dimension"),
+            ({"scheme": "euler"}, "unknown scheme 'euler'"),
+        ],
+        ids=["preset", "connection-dim", "lambda0-length", "scheme"],
+    )
+    def test_a_config_that_does_not_fit_is_config_error(self, capsys, tmp_path, overrides, message):
+        cfg = self.write_config(tmp_path / "c.json", **overrides)
+        rc, out, err = run_cli(capsys, ["--json", "cartan", "--config", str(cfg)])
+        assert (rc, out, err) == (1, "", f"config error: {message}\n")
 
     def test_renormalize_must_be_boolean(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path / "c.json", renormalize="false")

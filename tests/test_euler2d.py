@@ -91,8 +91,8 @@ class TestVelocityInversion:
         zeta = single_mode(grid, 3, 0)
         u = eu.velocity_from_vorticity(zeta)
         X, _ = grid.coords()
-        assert np.max(np.abs(u.u_x)) <= 1e-13
-        assert np.allclose(u.u_y, np.sin(3 * X) / 3.0, atol=1e-13)
+        assert np.max(np.abs(u.values[0])) <= 1e-13
+        assert np.allclose(u.values[1], np.sin(3 * X) / 3.0, atol=1e-13)
 
     def test_curl_recovers_vorticity(self, grid):
         rng = np.random.default_rng(0)
@@ -103,7 +103,8 @@ class TestVelocityInversion:
         zeta = eu.VorticityField(grid, vals)
         u = eu.velocity_from_vorticity(zeta)
         kx, ky = grid.wavenumbers()
-        curl = np.fft.irfft2(1j * kx * np.fft.rfft2(u.u_y) - 1j * ky * np.fft.rfft2(u.u_x))
+        u_x, u_y = u.values
+        curl = np.fft.irfft2(1j * kx * np.fft.rfft2(u_y) - 1j * ky * np.fft.rfft2(u_x))
         assert np.max(np.abs(curl - vals)) <= 1e-10
 
     def test_divergence_free(self, grid):
@@ -112,8 +113,9 @@ class TestVelocityInversion:
         zeta = eu.VorticityField(grid, band_limit(grid, raw))
         u = eu.velocity_from_vorticity(zeta)
         kx, ky = grid.wavenumbers()
-        div = np.abs(kx * np.fft.rfft2(u.u_x) + ky * np.fft.rfft2(u.u_y))
-        scale = np.max(np.abs(np.fft.rfft2(u.u_x))) + np.max(np.abs(np.fft.rfft2(u.u_y)))
+        u_x, u_y = u.values
+        div = np.abs(kx * np.fft.rfft2(u_x) + ky * np.fft.rfft2(u_y))
+        scale = np.max(np.abs(np.fft.rfft2(u_x))) + np.max(np.abs(np.fft.rfft2(u_y)))
         assert np.max(div) / scale <= 1e-13
 
     def test_constant_offset_no_velocity(self, grid):
@@ -128,14 +130,15 @@ class TestVelocityInversion:
         second = (-1.3397514365059482, 0.7004789170928504)
         assert math.hypot(*first) > math.hypot(*second)
         assert first[0] ** 2 + first[1] ** 2 < second[0] ** 2 + second[1] ** 2
-        u_x, u_y = np.zeros((2, 64, 64))
+        values = np.zeros((2, 64, 64))
+        u_x, u_y = values
         (u_x[3, 5], u_y[3, 5]), (u_x[40, 7], u_y[40, 7]) = first, second
-        u = eu.VelocityField(grid, u_x, u_y)
+        u = eu.VelocityField(grid, values)
         assert u.max_speed() == float(np.max(np.hypot(u_x, u_y))) == math.hypot(*first)
 
     def test_velocity_field_holds_only_its_components(self):
         names = [f.name for f in dataclasses.fields(eu.VelocityField)]
-        assert names == ["grid", "u_x", "u_y"]
+        assert names == ["grid", "values"]
 
 
 class TestRhs:
@@ -291,7 +294,7 @@ def serial_stage(grid, zhat, points):
 
 def stage_arrays(grid, zhat, points):
     out, u, p = eu.stage(grid, zhat, points)
-    return out, u.u_x, u.u_y, p
+    return out, *u.values, p
 
 
 def same_bits(a, b):
@@ -354,10 +357,10 @@ def test_a_stage_returns_the_arrays_of_its_workspace():
     ws = eu.Workspace(grid)
     T, u, _ = eu.stage(grid, zhat, pts, ws)
     assert T is ws.out
-    assert np.shares_memory(u.u_x, ws.u) and np.shares_memory(u.u_y, ws.u)
+    assert u.values is ws.u
     kept = T.copy()
     T_own, u_own, _ = eu.stage(grid, 2 * zhat, pts)  # a workspace of its own
-    assert not np.shares_memory(T_own, ws.out) and not np.shares_memory(u_own.u_x, ws.u)
+    assert not np.shares_memory(T_own, ws.out) and not np.shares_memory(u_own.values, ws.u)
     assert same_bits([T], [kept])
     eu.stage(grid, 2 * zhat, pts, ws)
     assert same_bits([T], [T_own])  # the next stage given ws overwrote it
@@ -777,8 +780,8 @@ class TestInterpolation:
         u = eu.velocity_from_vorticity(zeta)
         X, Y = grid.coords()
         v = marker_velocity(zeta, np.stack([X.ravel(), Y.ravel()], axis=1))
-        assert np.max(np.abs(v[:, 0] - u.u_x.ravel())) <= 1e-13
-        assert np.max(np.abs(v[:, 1] - u.u_y.ravel())) <= 1e-13
+        assert np.max(np.abs(v[:, 0] - u.values[0].ravel())) <= 1e-13
+        assert np.max(np.abs(v[:, 1] - u.values[1].ravel())) <= 1e-13
 
     def test_off_grid_accuracy(self, grid):
         # u_y = sin(3x)/3 for zeta = cos(3x); the band-limited sum is exact
@@ -923,5 +926,5 @@ class TestSpectrumReality:
         rng = np.random.default_rng(6)
         zeta = eu.VorticityField(grid, rng.standard_normal((64, 64)))
         dz, u, v = eu.stage(grid, zeta.spectrum(), [(0.5, 0.7)])
-        for out in (np.fft.irfft2(dz, s=(64, 64)), u.u_x, u.u_y, v):
+        for out in (np.fft.irfft2(dz, s=(64, 64)), *u.values, v):
             assert out.dtype == np.float64

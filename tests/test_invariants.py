@@ -92,24 +92,31 @@ class TestDivergence:
         assert inv.divergence_residual(u) <= 1e-11
 
     def test_still_field(self, grid):
-        u = eu.VelocityField(grid, np.zeros((128, 128)), np.zeros((128, 128)))
+        u = eu.VelocityField(grid, np.zeros((2, 128, 128)))
         assert inv.divergence_residual(u) == 0.0
 
     def test_detects_compressible_flow(self, grid):
         X, _ = grid.coords()
-        u = eu.VelocityField(grid, np.sin(X), np.zeros((128, 128)))
+        u = eu.VelocityField(grid, np.stack([np.sin(X), np.zeros((128, 128))]))
         assert inv.divergence_residual(u) > 0.5
 
     def test_a_workspace_keeps_the_bits(self, grid, gaussian):
-        # with a workspace both components are one stacked rfft2: of ws.u
-        # itself for the velocity of its stage, else of a stacked copy
+        # both components are one stacked rfft2 of u.values, with or without a
+        # workspace; for the velocity of ws's stage u.values is ws.u itself.
+        # Either way the residual has the bits of two separate rfft2 calls
         ws = eu.Workspace(grid)
         _, u, _ = eu.stage(grid, gaussian.spectrum(), eu.NO_POINTS, ws)
+        assert u.values is ws.u
         X, _ = grid.coords()
-        other = eu.VelocityField(grid, u.u_x + np.sin(X), u.u_y)
-        assert inv._stacked(u, ws) is ws.u and inv._stacked(other, ws) is not ws.u
-        for v in (u, other, eu.VelocityField(grid, u.u_y, u.u_x)):
-            assert inv.divergence_residual(v, ws) == inv.divergence_residual(v)
+        other = eu.VelocityField(grid, np.stack([u.values[0] + np.sin(X), u.values[1]]))
+        swapped = eu.VelocityField(grid, u.values[::-1].copy())
+        kx, ky = grid.wavenumbers()
+        for v in (u, other, swapped):
+            ux_hat, uy_hat = np.fft.rfft2(v.values[0]), np.fft.rfft2(v.values[1])
+            scale = float(np.max(np.hypot(np.abs(ux_hat), np.abs(uy_hat))))
+            want = float(np.max(np.abs(kx * ux_hat + ky * uy_hat))) / scale
+            assert inv.divergence_residual(v) == want
+            assert inv.divergence_residual(v, ws) == want
 
 
 class TestPhiTriple:

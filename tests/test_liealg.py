@@ -54,6 +54,25 @@ class TestBracket:
             la.bracket(su2, la.LieVector((1, 0)), e(su2, 0))
 
 
+class TestValidation:
+    def test_spec_needs_a_positive_dimension(self):
+        with pytest.raises(ValueError, match="^dimension must be positive$") as exc:
+            la.LieAlgebraSpec(0, (), ())
+        assert exc.type is ValueError
+
+    def test_spec_needs_a_cube_of_constants(self):
+        zero = (F(0), F(0))
+        message = "^structure constants must be dim x dim x dim$"
+        with pytest.raises(ValueError, match=message) as exc:
+            la.LieAlgebraSpec(2, ("a", "b"), ((zero, zero), (zero,)))
+        assert exc.type is ValueError
+
+    def test_diagonal_entry_rejected(self):
+        with pytest.raises(ValueError, match=r"^diagonal entries \[e_a, e_a\]") as exc:
+            la.make_algebra(2, ["a", "b"], [(1, 1, 0, 1)])
+        assert exc.type is ValueError
+
+
 class TestJacobi:
     def test_su2_exact_zero(self, su2):
         assert la.jacobi_residual(su2) == 0

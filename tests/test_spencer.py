@@ -35,6 +35,30 @@ def random_tensor(rng, dim, degree, n_terms=4):
     return sp.SymTensor(dim, degree, terms)
 
 
+class TestValidation:
+    @pytest.mark.parametrize(
+        "idx, message",
+        [
+            ((0,), r"multi-index \(0,\) has wrong length"),
+            ((1, 0), r"multi-index \(1, 0\) is not sorted"),
+        ],
+        ids=["length", "unsorted"],
+    )
+    def test_bad_multi_index_rejected(self, idx, message):
+        with pytest.raises(ValueError, match=f"^{message}$") as exc:
+            sp.SymTensor(3, 2, {idx: F(1)})
+        assert exc.type is ValueError
+
+    @pytest.mark.parametrize("other", [mono(2, 0), mono(3, 0, 1)], ids=["dim", "degree"])
+    def test_sum_across_spaces_rejected(self, other):
+        with pytest.raises(la.DimensionMismatch, match="^tensors live in different spaces$"):
+            mono(3, 0) + other
+
+    def test_structural_delta_of_another_dimension_rejected(self, su2):
+        with pytest.raises(la.DimensionMismatch, match="^tensor does not conform to the algebra$"):
+            sp.spencer_delta_structural(su2, mono(2, 0))
+
+
 class TestStructuralDelta:
     def test_su2_degree_one_vanishes(self, su2):
         for a in range(3):
@@ -104,6 +128,11 @@ class TestNilpotency:
 
     def test_abelian_all_zero(self, ab2):
         assert sp.nilpotency_report(ab2, 3) == {1: 0, 2: 0, 3: 0}
+
+    def test_degree_below_one_rejected(self, su2):
+        with pytest.raises(ValueError, match="^max_degree must be >= 1$") as exc:
+            sp.nilpotency_report(su2, 0)
+        assert exc.type is ValueError
 
     def test_sl2_degree_one_frozen_oracle(self, sl2):
         # delta^2(h) = -8 h⊙e⊙e + 8 h⊙e⊙f - 8 h⊙f⊙f, brute-force expansion
