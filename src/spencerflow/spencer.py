@@ -50,8 +50,8 @@ class SymTensor:
         return max((abs(c) for c in self.terms.values()), default=Fraction(0))
 
     @staticmethod
-    def monomial(dim, indices, coeff=Fraction(1)):
-        return SymTensor(dim, len(indices), {tuple(sorted(indices)): coeff})
+    def monomial(dim, indices):
+        return SymTensor(dim, len(indices), {tuple(sorted(indices)): Fraction(1)})
 
     @staticmethod
     def zero(dim, degree):

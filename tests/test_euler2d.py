@@ -35,11 +35,12 @@ def band_limit(grid, raw):
 
 
 def tendency(grid, zeta):
-    return np.fft.irfft2(eu.stage(grid, zeta.spectrum(), eu.NO_POINTS)[0], s=(grid.N, grid.N))
+    T = eu.stage(grid, zeta.spectrum(), eu.NO_POINTS, eu.Workspace(grid))[0]
+    return np.fft.irfft2(T, s=(grid.N, grid.N))
 
 
 def marker_velocity(zeta, points):
-    return eu.stage(zeta.grid, zeta.spectrum(), points)[2]
+    return eu.stage(zeta.grid, zeta.spectrum(), points, eu.Workspace(zeta.grid))[2]
 
 
 class TestGrid:
@@ -293,7 +294,7 @@ def serial_stage(grid, zhat, points):
 
 
 def stage_arrays(grid, zhat, points):
-    out, u, p = eu.stage(grid, zhat, points)
+    out, u, p = eu.stage(grid, zhat, points, eu.Workspace(grid))
     return out, *u.values, p
 
 
@@ -359,7 +360,7 @@ def test_a_stage_returns_the_arrays_of_its_workspace():
     assert T is ws.out
     assert u.values is ws.u
     kept = T.copy()
-    T_own, u_own, _ = eu.stage(grid, 2 * zhat, pts)  # a workspace of its own
+    T_own, u_own, _ = eu.stage(grid, 2 * zhat, pts, eu.Workspace(grid))  # a workspace of its own
     assert not np.shares_memory(T_own, ws.out) and not np.shares_memory(u_own.values, ws.u)
     assert same_bits([T], [kept])
     eu.stage(grid, 2 * zhat, pts, ws)
@@ -411,7 +412,7 @@ def test_a_recorded_state_in_a_warm_workspace_allocates_little():
         k1, u, p1 = eu.stage(grid, zhat, pts, ws)
         zeta = eu.VorticityField.from_spectrum(grid, zhat, ws)
         curves = ([pts], [p1]) if len(pts) else ([], [])
-        record = inv.phi_triple(zeta, u, *curves, ws=ws)
+        record = inv.phi_triple(zeta, u, *curves, 0.0, ws)
         bound = u.cfl_dt(ws)
         eu.rk4_step(zhat, 1e-3, pts, (k1, p1, bound), ws)
         return record, bound
@@ -419,9 +420,10 @@ def test_a_recorded_state_in_a_warm_workspace_allocates_little():
     pts = np.random.default_rng(5).uniform(0.0, grid.L, (768, 2))
     peak, (record, bound) = warm_peak(lambda: recorded_state(pts))
     assert peak < 1.2e6
-    _, u, p1 = eu.stage(grid, zhat, pts)  # a workspace of its own
+    cold = eu.Workspace(grid)
+    _, u, p1 = eu.stage(grid, zhat, pts, cold)
     zeta = eu.VorticityField.from_spectrum(grid, zhat)
-    assert record == inv.phi_triple(zeta, u, [pts], [p1]) and bound == u.cfl_dt()
+    assert record == inv.phi_triple(zeta, u, [pts], [p1], 0.0, cold) and bound == u.cfl_dt()
     assert warm_peak(lambda: recorded_state(eu.NO_POINTS))[0] < 0.25e6
 
 
@@ -525,7 +527,7 @@ class TestStageHelperThread:
         grid, zhat, pts = random_state(32, 40, seed)
         zhat = eu.VorticityField(grid, np.fft.irfft2(zhat, s=(32, 32))).spectrum()
         # a step near the bound, so that each rounding of the sum reaches the result
-        dt = 0.9 * eu.stage(grid, zhat, eu.NO_POINTS)[1].cfl_dt()
+        dt = 0.9 * eu.stage(grid, zhat, eu.NO_POINTS, eu.Workspace(grid))[1].cfl_dt()
         k1, _, _, p1 = serial_stage(grid, zhat, pts)
         k2, _, _, p2 = serial_stage(grid, zhat + dt / 2 * k1, pts + dt / 2 * p1)
         k3, _, _, p3 = serial_stage(grid, zhat + dt / 2 * k2, pts + dt / 2 * p2)
@@ -604,8 +606,9 @@ class TestStageHelperThread:
 
     def test_marker_errors_are_raised_in_the_caller_and_the_next_stage_works(self, monkeypatch):
         grid, zhat, pts = random_state(16, 5, seed=1)
+        ws = eu.Workspace(grid)
         with pytest.raises(ValueError, match="non-finite evaluation point"):
-            eu.stage(grid, zhat, [(np.nan, 0.0)])
+            eu.stage(grid, zhat, [(np.nan, 0.0)], ws)
         block_values = eu._block_values
 
         def broken(*args):
@@ -613,7 +616,7 @@ class TestStageHelperThread:
 
         monkeypatch.setattr(eu, "_block_values", broken)
         with pytest.raises(ValueError, match="internal failure"):
-            eu.stage(grid, zhat, pts)
+            eu.stage(grid, zhat, pts, ws)
         monkeypatch.setattr(eu, "_block_values", block_values)
         assert same_bits(stage_arrays(grid, zhat, pts), serial_stage(grid, zhat, pts))
 
@@ -627,19 +630,20 @@ class TestStageHelperThread:
 
         monkeypatch.setattr(eu, "_block_values", recording)
         with np.errstate(over="ignore", invalid="raise", under="warn"):
-            eu.stage(grid, zhat, pts)
+            eu.stage(grid, zhat, pts, eu.Workspace(grid))
             assert seen == [np.geterr()]
 
     def test_overflow_follows_the_callers_errstate(self):
         grid = eu.GridSpec(16)
         zhat = np.full((16, 6), 1.7e308 + 0j)
         pts = np.random.default_rng(3).uniform(0, grid.L, size=(7, 2))
+        ws = eu.Workspace(grid)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            eu.stage(grid, zhat, pts)
+            eu.stage(grid, zhat, pts, ws)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with np.errstate(all="ignore"):
-                eu.stage(grid, zhat, pts)
+                eu.stage(grid, zhat, pts, ws)
 
     def test_concurrent_callers_each_get_their_own_result(self):
         states = [random_state(32, 17 * k, seed=k) for k in range(4)]
@@ -669,7 +673,7 @@ class TestStageHelperThread:
     def test_a_forked_child_starts_its_own_helper(self):
         grid, zhat, pts = random_state(16, 4, seed=5)
         want = serial_stage(grid, zhat, pts)
-        eu.stage(grid, zhat, pts)  # the helper thread now runs in this process
+        eu.stage(grid, zhat, pts, eu.Workspace(grid))  # the helper thread now runs in this process
         pid = os.fork()
         if pid == 0:  # the child has no helper thread; a stage that waits for one hangs
             code = 1
@@ -683,9 +687,9 @@ class TestStageHelperThread:
 
     def test_stages_start_at_most_one_thread(self):
         grid, zhat, pts = random_state(16, 4, seed=4)
-        before = threading.active_count()
+        ws, before = eu.Workspace(grid), threading.active_count()
         for _ in range(200):
-            eu.stage(grid, zhat, pts)
+            eu.stage(grid, zhat, pts, ws)
         assert threading.active_count() <= before + 1
 
 
@@ -925,6 +929,6 @@ class TestSpectrumReality:
     def test_rhs_output_real(self, grid):
         rng = np.random.default_rng(6)
         zeta = eu.VorticityField(grid, rng.standard_normal((64, 64)))
-        dz, u, v = eu.stage(grid, zeta.spectrum(), [(0.5, 0.7)])
+        dz, u, v = eu.stage(grid, zeta.spectrum(), [(0.5, 0.7)], eu.Workspace(grid))
         for out in (np.fft.irfft2(dz, s=(64, 64)), *u.values, v):
             assert out.dtype == np.float64

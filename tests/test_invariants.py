@@ -19,7 +19,7 @@ def gaussian(grid):
 
 def circulation(zeta, points):
     """The circulation along points, with the velocity of the stage at zeta."""
-    velocities = eu.stage(zeta.grid, zeta.spectrum(), points)[2]
+    velocities = eu.stage(zeta.grid, zeta.spectrum(), points, eu.Workspace(zeta.grid))[2]
     return inv.circulation(points, velocities, zeta.grid.L)
 
 
@@ -38,12 +38,12 @@ class TestScalars:
         # also stand for their conjugate mirrors
         full = 2.0 * np.sum(power) - np.sum(power[:, 0]) - np.sum(power[:, -1])
         spectral = float(full) / grid.N**4 * grid.L**2
-        assert inv.enstrophy(zeta) == pytest.approx(spectral, rel=1e-11)
+        assert inv.enstrophy(zeta, eu.Workspace(grid)) == pytest.approx(spectral, rel=1e-11)
 
     def test_zero_field(self, grid):
         zeta = eu.VorticityField(grid, np.zeros((128, 128)))
         assert inv.total_vorticity(zeta) == 0.0
-        assert inv.enstrophy(zeta) == 0.0
+        assert inv.enstrophy(zeta, eu.Workspace(grid)) == 0.0
 
 
 class TestCirculation:
@@ -89,20 +89,20 @@ class TestDivergence:
     def test_spectral_velocity_divergence_free(self, gaussian):
         u = eu.velocity_from_vorticity(gaussian)
         # roundoff amplified by |k| up to N/2 in the numerator
-        assert inv.divergence_residual(u) <= 1e-11
+        assert inv.divergence_residual(u, eu.Workspace(u.grid)) <= 1e-11
 
     def test_still_field(self, grid):
         u = eu.VelocityField(grid, np.zeros((2, 128, 128)))
-        assert inv.divergence_residual(u) == 0.0
+        assert inv.divergence_residual(u, eu.Workspace(grid)) == 0.0
 
     def test_detects_compressible_flow(self, grid):
         X, _ = grid.coords()
         u = eu.VelocityField(grid, np.stack([np.sin(X), np.zeros((128, 128))]))
-        assert inv.divergence_residual(u) > 0.5
+        assert inv.divergence_residual(u, eu.Workspace(grid)) > 0.5
 
     def test_a_workspace_keeps_the_bits(self, grid, gaussian):
-        # both components are one stacked rfft2 of u.values, with or without a
-        # workspace; for the velocity of ws's stage u.values is ws.u itself.
+        # both components are one stacked rfft2 of u.values, in the stage's
+        # workspace, where u.values is ws.u itself, or in one of its own.
         # Either way the residual has the bits of two separate rfft2 calls
         ws = eu.Workspace(grid)
         _, u, _ = eu.stage(grid, gaussian.spectrum(), eu.NO_POINTS, ws)
@@ -115,7 +115,7 @@ class TestDivergence:
             ux_hat, uy_hat = np.fft.rfft2(v.values[0]), np.fft.rfft2(v.values[1])
             scale = float(np.max(np.hypot(np.abs(ux_hat), np.abs(uy_hat))))
             want = float(np.max(np.abs(kx * ux_hat + ky * uy_hat))) / scale
-            assert inv.divergence_residual(v) == want
+            assert inv.divergence_residual(v, eu.Workspace(grid)) == want
             assert inv.divergence_residual(v, ws) == want
 
 
@@ -123,8 +123,9 @@ class TestPhiTriple:
     def test_zero_state(self, grid):
         zeta = eu.VorticityField(grid, np.zeros((128, 128)))
         c = eu.MarkerCurve.circle("c", 2.0, 2.0, 1.0, M=32)
-        _, u, v = eu.stage(grid, zeta.spectrum(), c.points)
-        rec = inv.phi_triple(zeta, u, [c.points], [v], t=1.5)
+        ws = eu.Workspace(grid)
+        _, u, v = eu.stage(grid, zeta.spectrum(), c.points, ws)
+        rec = inv.phi_triple(zeta, u, [c.points], [v], 1.5, ws)
         assert rec.t == 1.5
         assert rec.I0 == 0.0
         assert rec.I1 == (0.0,)
@@ -134,8 +135,9 @@ class TestPhiTriple:
     def test_single_mode_shear(self, grid):
         X, _ = grid.coords()
         zeta = eu.VorticityField(grid, np.cos(X))
-        _, u, v = eu.stage(grid, zeta.spectrum(), eu.NO_POINTS)
-        rec = inv.phi_triple(zeta, u, [], [])
+        ws = eu.Workspace(grid)
+        _, u, v = eu.stage(grid, zeta.spectrum(), eu.NO_POINTS, ws)
+        rec = inv.phi_triple(zeta, u, [], [], 0.0, ws)
         assert rec.I0 == pytest.approx(0.0, abs=1e-12)
         assert rec.I2 == pytest.approx(2 * math.pi**2, rel=1e-12)
 
